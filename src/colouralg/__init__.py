@@ -24,7 +24,7 @@ from .errors import ColourAlgError
 from .etale import KummerExtension, SplitTorus, make_etale
 from .graded import GradedAlgebra, GradedSpec
 from .rings import IntegersMod, PolynomialRing, PrimeField, RationalField, make_ring
-from .trivec import HermitianSpace, Trivialization, make_hermitian_space
+from .trivec import HermitianSpace, Trivialization
 
 __version__ = "0.1.0"
 
@@ -61,6 +61,5 @@ __all__ = [
     "make_ring",
     "HermitianSpace",
     "Trivialization",
-    "make_hermitian_space",
     "__version__",
 ]

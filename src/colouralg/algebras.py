@@ -29,14 +29,37 @@ Hermitian families over a space (S, P, h, alpha) with cross product x:
   norm a^2 + h(u,u), trace 2a.
 * ``WHermAlgebra``     rank 6, (P, x) with norm h(v,v).
 
-Every handle exposes the same protocol (family, ring, rank, unital, zero/one,
-add/sub/neg/smul/mul, norm/trace, basis/coords, sample, JSON) so the identity
-harness stays generic.
+Element model.  Every family is an ``Algebra`` built from a *layout*: its
+element dataclass and that dataclass's slots in field order.  A slot is
+``(field, K, width)`` with K the coefficient object (the base ring R, or the
+etale algebra S, whose elements are pairs of R payloads) and ``width`` None
+for a field holding one coefficient or n for an n-tuple of them.  From the
+layout the base derives everything that is not the family's own maths:
+
+* the module structure: ``zero``, ``one`` (the ``unit`` fields set to K's
+  one; a family is unital when it names any), ``add``, ``sub``, ``neg`` and
+  ``smul`` (by an R payload), slot by slot;
+* draw order: ``sample`` draws the slots in field order, one ``K.sample``
+  per coefficient, so every stream is fixed by the layout;
+* coordinate order: ``coords``, ``from_coords`` and ``enumerate_elements``
+  run over the slots in ``coord_order`` (field order unless given; Zorn's
+  fields are a, u, ud, ap but its coordinates a, ap, u, ud), within a slot
+  vector index first, then S component;
+* basis order: slots in coordinate order, within a slot S component first,
+  then vector index (hence the hermitian labels p11, p12, p13, p21, ...);
+* ``rank``, ``size``, ``basis`` and the element JSON: one key per field, an
+  R coefficient as its ring string and an S coefficient as a pair of them.
+
+A family supplies its constructor, which builds the layout from its data,
+and its maths: ``mul``, ``norm``, ``basis_labels`` and, when unital,
+``trace`` and ``involution``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, product, repeat
+from operator import attrgetter
 
 from .errors import NotTraceZero, WrongRing
 from .etale import EtaleAlgebra
@@ -52,6 +75,7 @@ from .trivec import (
 )
 
 __all__ = [
+    "Algebra",
     "ColSplitElement",
     "ZornElement",
     "CayElement",
@@ -110,83 +134,141 @@ class WHermElement:
     u: tuple
 
 
-def _zvec(K):
-    return (K.zero, K.zero, K.zero)
+# ------------------------------------------------------------- the base
 
 
-def _basis_vecs(K):
-    z, o = K.zero, K.one
-    return [(o, z, z), (z, o, z), (z, z, o)]
+class Algebra:
+    """Element plumbing derived from a layout; see the module docstring."""
 
+    family: str
 
-# ------------------------------------------------------------- split base
-
-
-class _SplitBase:
-    """Shared plumbing for the algebras over (R, lam)."""
-
-    def __init__(self, ring: Ring, lam):
+    def __init__(self, ring: Ring, element: type, slots, unit=(), coord_order=None):
         self.ring = ring
-        self.alpha = Trivialization(ring, lam)
-        self.beta = self.alpha.dual()
-        self.lam = lam
-        self._half = ring.inv(ring.of_int(2))
+        self.element = element
+        self.unital = bool(unit)
+        self._slots = [(name, K, n, isinstance(K, EtaleAlgebra)) for name, K, n in slots]
+        by_name = {s[0]: s for s in self._slots}
+        # coordinate slots carry their [start, stop) range in the coordinate tuple
+        self._coord_slots, start = [], 0
+        for name in coord_order or by_name:
+            name, K, n, pair = by_name[name]
+            stop = start + (n or 1) * (2 if pair else 1)
+            self._coord_slots.append((name, K, n, pair, start, stop))
+            start = stop
+        self.rank = start
+        # (getter, coefficient op, vector?) per slot, for the hot module operations
+        parts = [(attrgetter(name), K, pair, n is not None) for name, K, n, pair in self._slots]
+        self._add = [(get, K.add, vec) for get, K, _, vec in parts]
+        self._sub = [(get, K.sub, vec) for get, K, _, vec in parts]
+        self._neg = [(get, K.neg, vec) for get, K, _, vec in parts]
+        self._smul = [(get, K.smul if pair else K.mul, vec) for get, K, pair, vec in parts]
+        self._draw = [(K.sample, n) for _, K, n, _ in self._slots]
+        # elements are frozen and ring payloads shared, so zero and one are built once
+        self._zero = element(*[K.zero if n is None else (K.zero,) * n for _, K, n, _ in self._slots])
+        self._one = replace(self._zero, **{name: by_name[name][1].one for name in unit})
 
-    def _cross_t(self, u, v):
-        return self.alpha.cross(u, v)
+    def zero(self):
+        return self._zero
 
-    def _cross_d(self, ud, vd):
-        return self.beta.cross(ud, vd)
+    def one(self):
+        if not self.unital:
+            raise WrongRing(f"{self.family} has no unit")
+        return self._one
+
+    def add(self, x, y):
+        return self.element(
+            *[tuple(map(op, get(x), get(y))) if vec else op(get(x), get(y)) for get, op, vec in self._add]
+        )
+
+    def sub(self, x, y):
+        return self.element(
+            *[tuple(map(op, get(x), get(y))) if vec else op(get(x), get(y)) for get, op, vec in self._sub]
+        )
+
+    def neg(self, x):
+        return self.element(*[tuple(map(op, get(x))) if vec else op(get(x)) for get, op, vec in self._neg])
+
+    def smul(self, r, x):
+        """Scale by an R payload."""
+        return self.element(
+            *[tuple(map(op, repeat(r), get(x))) if vec else op(r, get(x)) for get, op, vec in self._smul]
+        )
+
+    def norm_trace(self, x):
+        return (self.norm(x), self.trace(x))
+
+    def sample(self, rng):
+        return self.element(
+            *[draw(rng) if n is None else tuple([draw(rng) for _ in range(n)]) for draw, n in self._draw]
+        )
 
     @property
     def size(self):
         return None if self.ring.size is None else self.ring.size ** self.rank
 
+    def coords(self, x):
+        out = []
+        for name, _, n, pair, _, _ in self._coord_slots:
+            cells = (getattr(x, name),) if n is None else getattr(x, name)
+            out.extend(chain.from_iterable(cells) if pair else cells)
+        return tuple(out)
+
+    def from_coords(self, c):
+        values = {}
+        for name, _, n, pair, lo, hi in self._coord_slots:
+            cells = tuple(zip(c[lo:hi:2], c[lo + 1 : hi : 2])) if pair else tuple(c[lo:hi])
+            values[name] = cells[0] if n is None else cells
+        return self.element(**values)
+
     def enumerate_elements(self):
-        coords = [self.ring.zero] * self.rank
+        """Every element, in lexicographic coordinate order."""
+        yield from map(self.from_coords, product(tuple(self.ring.elements()), repeat=self.rank))
 
-        def rec(i):
-            if i == self.rank:
-                yield self.from_coords(coords)
-                return
-            for c in self.ring.elements():
-                coords[i] = c
-                yield from rec(i + 1)
+    def basis(self):
+        R = self.ring
+        out = []
+        for name, K, n, pair, _, _ in self._coord_slots:
+            for comp in range(2 if pair else 1):
+                one = tuple(R.one if k == comp else R.zero for k in range(2)) if pair else R.one
+                for i in range(n or 1):
+                    cell = one if n is None else tuple(one if k == i else K.zero for k in range(n))
+                    out.append(replace(self._zero, **{name: cell}))
+        return out
 
-        yield from rec(0)
+    def element_to_json(self, x):
+        out = {}
+        for name, K, n, pair in self._slots:
+            fmt = K.to_json if pair else K.format
+            v = getattr(x, name)
+            out[name] = fmt(v) if n is None else [fmt(c) for c in v]
+        return out
 
-    def eq(self, x, y):
-        return x == y
+    def element_from_json(self, d):
+        values = {}
+        for name, K, n, pair in self._slots:
+            parse = K.from_json if pair else K.parse
+            v = d[name]
+            if n is None:
+                values[name] = parse(v)
+            elif isinstance(v, list) and len(v) == n:
+                values[name] = tuple(parse(c) for c in v)
+            else:
+                raise WrongRing(f"{self.family} element field {name!r} must be a list of {n} coefficients")
+        return self.element(**values)
 
 
-class ColSplitAlgebra(_SplitBase):
+# ------------------------------------------------------------- split families
+
+
+class ColSplitAlgebra(Algebra):
     family = "col_split"
-    rank = 7
-    unital = True
 
-    def zero(self):
-        R = self.ring
-        return ColSplitElement(R.zero, _zvec(R), _zvec(R))
-
-    def one(self):
-        R = self.ring
-        return ColSplitElement(R.one, _zvec(R), _zvec(R))
-
-    def add(self, x, y):
-        R = self.ring
-        return ColSplitElement(R.add(x.a, y.a), vec_add(R, x.u, y.u), vec_add(R, x.ud, y.ud))
-
-    def sub(self, x, y):
-        R = self.ring
-        return ColSplitElement(R.sub(x.a, y.a), vec_sub(R, x.u, y.u), vec_sub(R, x.ud, y.ud))
-
-    def neg(self, x):
-        R = self.ring
-        return ColSplitElement(R.neg(x.a), vec_neg(R, x.u), vec_neg(R, x.ud))
-
-    def smul(self, r, x):
-        R = self.ring
-        return ColSplitElement(R.mul(r, x.a), vec_smul(R, r, x.u), vec_smul(R, r, x.ud))
+    def __init__(self, ring: Ring, lam):
+        self.lam = lam
+        self.alpha = Trivialization(ring, lam)
+        self.beta = self.alpha.dual()
+        self._half = ring.inv(ring.of_int(2))
+        super().__init__(ring, ColSplitElement, [("a", ring, None), ("u", ring, 3), ("ud", ring, 3)], unit=["a"])
 
     def mul(self, x, y):
         R = self.ring
@@ -197,12 +279,12 @@ class ColSplitAlgebra(_SplitBase):
         t_part = vec_sub(
             R,
             vec_add(R, vec_smul(R, x.a, y.u), vec_smul(R, y.a, x.u)),
-            self._cross_d(x.ud, y.ud),
+            self.beta.cross(x.ud, y.ud),
         )
         d_part = vec_add(
             R,
             vec_add(R, vec_smul(R, y.a, x.ud), vec_smul(R, x.a, y.ud)),
-            self._cross_t(x.u, y.u),
+            self.alpha.cross(x.u, y.u),
         )
         return ColSplitElement(diag, t_part, d_part)
 
@@ -214,87 +296,27 @@ class ColSplitAlgebra(_SplitBase):
         R = self.ring
         return R.add(x.a, x.a)
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def involution(self, x):
         return ColSplitElement(x.a, vec_neg(self.ring, x.u), vec_neg(self.ring, x.ud))
-
-    def basis(self):
-        R = self.ring
-        out = [self.one()]
-        for e in _basis_vecs(R):
-            out.append(ColSplitElement(R.zero, e, _zvec(R)))
-        for e in _basis_vecs(R):
-            out.append(ColSplitElement(R.zero, _zvec(R), e))
-        return out
 
     def basis_labels(self):
         return ["1", "u1", "u2", "u3", "v1", "v2", "v3"]
 
-    def coords(self, x):
-        return (x.a,) + tuple(x.u) + tuple(x.ud)
 
-    def from_coords(self, c):
-        return ColSplitElement(c[0], tuple(c[1:4]), tuple(c[4:7]))
-
-    def sample(self, rng):
-        R = self.ring
-        return ColSplitElement(
-            R.sample(rng),
-            tuple(R.sample(rng) for _ in range(3)),
-            tuple(R.sample(rng) for _ in range(3)),
-        )
-
-    def element_to_json(self, x):
-        R = self.ring
-        return {
-            "a": R.format(x.a),
-            "u": [R.format(c) for c in x.u],
-            "ud": [R.format(c) for c in x.ud],
-        }
-
-    def element_from_json(self, d):
-        R = self.ring
-        return ColSplitElement(
-            R.parse(d["a"]),
-            tuple(R.parse(c) for c in d["u"]),
-            tuple(R.parse(c) for c in d["ud"]),
-        )
-
-
-class ZornAlgebra(_SplitBase):
+class ZornAlgebra(Algebra):
     family = "zorn"
-    rank = 8
-    unital = True
 
-    def zero(self):
-        R = self.ring
-        return ZornElement(R.zero, _zvec(R), _zvec(R), R.zero)
-
-    def one(self):
-        R = self.ring
-        return ZornElement(R.one, _zvec(R), _zvec(R), R.one)
-
-    def add(self, x, y):
-        R = self.ring
-        return ZornElement(
-            R.add(x.a, y.a), vec_add(R, x.u, y.u), vec_add(R, x.ud, y.ud), R.add(x.ap, y.ap)
+    def __init__(self, ring: Ring, lam):
+        self.lam = lam
+        self.alpha = Trivialization(ring, lam)
+        self.beta = self.alpha.dual()
+        super().__init__(
+            ring,
+            ZornElement,
+            [("a", ring, None), ("u", ring, 3), ("ud", ring, 3), ("ap", ring, None)],
+            unit=["a", "ap"],
+            coord_order=["a", "ap", "u", "ud"],
         )
-
-    def sub(self, x, y):
-        R = self.ring
-        return ZornElement(
-            R.sub(x.a, y.a), vec_sub(R, x.u, y.u), vec_sub(R, x.ud, y.ud), R.sub(x.ap, y.ap)
-        )
-
-    def neg(self, x):
-        R = self.ring
-        return ZornElement(R.neg(x.a), vec_neg(R, x.u), vec_neg(R, x.ud), R.neg(x.ap))
-
-    def smul(self, r, x):
-        R = self.ring
-        return ZornElement(R.mul(r, x.a), vec_smul(R, r, x.u), vec_smul(R, r, x.ud), R.mul(r, x.ap))
 
     def mul(self, x, y):
         R = self.ring
@@ -303,12 +325,12 @@ class ZornAlgebra(_SplitBase):
         t_part = vec_sub(
             R,
             vec_add(R, vec_smul(R, x.a, y.u), vec_smul(R, y.ap, x.u)),
-            self._cross_d(x.ud, y.ud),
+            self.beta.cross(x.ud, y.ud),
         )
         d_part = vec_add(
             R,
             vec_add(R, vec_smul(R, y.a, x.ud), vec_smul(R, x.ap, y.ud)),
-            self._cross_t(x.u, y.u),
+            self.alpha.cross(x.u, y.u),
         )
         return ZornElement(s1, t_part, d_part, s2)
 
@@ -319,209 +341,52 @@ class ZornAlgebra(_SplitBase):
     def trace(self, x):
         return self.ring.add(x.a, x.ap)
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def involution(self, x):
         """Canonical (scalar) involution: swap the diagonal, negate vectors."""
         R = self.ring
         return ZornElement(x.ap, vec_neg(R, x.u), vec_neg(R, x.ud), x.a)
 
-    def basis(self):
-        R = self.ring
-        out = [
-            ZornElement(R.one, _zvec(R), _zvec(R), R.zero),
-            ZornElement(R.zero, _zvec(R), _zvec(R), R.one),
-        ]
-        for e in _basis_vecs(R):
-            out.append(ZornElement(R.zero, e, _zvec(R), R.zero))
-        for e in _basis_vecs(R):
-            out.append(ZornElement(R.zero, _zvec(R), e, R.zero))
-        return out
-
     def basis_labels(self):
         return ["e11", "e22", "u1", "u2", "u3", "v1", "v2", "v3"]
 
-    def coords(self, x):
-        return (x.a, x.ap) + tuple(x.u) + tuple(x.ud)
 
-    def from_coords(self, c):
-        return ZornElement(c[0], tuple(c[2:5]), tuple(c[5:8]), c[1])
-
-    def sample(self, rng):
-        R = self.ring
-        return ZornElement(
-            R.sample(rng),
-            tuple(R.sample(rng) for _ in range(3)),
-            tuple(R.sample(rng) for _ in range(3)),
-            R.sample(rng),
-        )
-
-    def element_to_json(self, x):
-        R = self.ring
-        return {
-            "a": R.format(x.a),
-            "u": [R.format(c) for c in x.u],
-            "ud": [R.format(c) for c in x.ud],
-            "ap": R.format(x.ap),
-        }
-
-    def element_from_json(self, d):
-        R = self.ring
-        return ZornElement(
-            R.parse(d["a"]),
-            tuple(R.parse(c) for c in d["u"]),
-            tuple(R.parse(c) for c in d["ud"]),
-            R.parse(d["ap"]),
-        )
-
-
-class WSplitAlgebra(_SplitBase):
+class WSplitAlgebra(Algebra):
     """Anticommutative rank-6 algebra (u,ud)(v,vd) = (-(ud x vd), u x v)."""
 
     family = "w_split"
-    rank = 6
-    unital = False
 
-    def zero(self):
-        R = self.ring
-        return WSplitElement(_zvec(R), _zvec(R))
-
-    def add(self, x, y):
-        R = self.ring
-        return WSplitElement(vec_add(R, x.u, y.u), vec_add(R, x.ud, y.ud))
-
-    def sub(self, x, y):
-        R = self.ring
-        return WSplitElement(vec_sub(R, x.u, y.u), vec_sub(R, x.ud, y.ud))
-
-    def neg(self, x):
-        R = self.ring
-        return WSplitElement(vec_neg(R, x.u), vec_neg(R, x.ud))
-
-    def smul(self, r, x):
-        R = self.ring
-        return WSplitElement(vec_smul(R, r, x.u), vec_smul(R, r, x.ud))
+    def __init__(self, ring: Ring, lam):
+        self.lam = lam
+        self.alpha = Trivialization(ring, lam)
+        self.beta = self.alpha.dual()
+        super().__init__(ring, WSplitElement, [("u", ring, 3), ("ud", ring, 3)])
 
     def mul(self, x, y):
         R = self.ring
         return WSplitElement(
-            vec_neg(R, self._cross_d(x.ud, y.ud)),
-            self._cross_t(x.u, y.u),
+            vec_neg(R, self.beta.cross(x.ud, y.ud)),
+            self.alpha.cross(x.u, y.u),
         )
 
     def norm(self, x):
         return self.ring.neg(pairing(self.ring, x.u, x.ud))
 
-    def basis(self):
-        R = self.ring
-        out = [WSplitElement(e, _zvec(R)) for e in _basis_vecs(R)]
-        out += [WSplitElement(_zvec(R), e) for e in _basis_vecs(R)]
-        return out
-
     def basis_labels(self):
         return ["u1", "u2", "u3", "v1", "v2", "v3"]
 
-    def coords(self, x):
-        return tuple(x.u) + tuple(x.ud)
 
-    def from_coords(self, c):
-        return WSplitElement(tuple(c[0:3]), tuple(c[3:6]))
-
-    def sample(self, rng):
-        R = self.ring
-        return WSplitElement(
-            tuple(R.sample(rng) for _ in range(3)),
-            tuple(R.sample(rng) for _ in range(3)),
-        )
-
-    def element_to_json(self, x):
-        R = self.ring
-        return {"u": [R.format(c) for c in x.u], "ud": [R.format(c) for c in x.ud]}
-
-    def element_from_json(self, d):
-        R = self.ring
-        return WSplitElement(
-            tuple(R.parse(c) for c in d["u"]),
-            tuple(R.parse(c) for c in d["ud"]),
-        )
+# --------------------------------------------------------- hermitian families
 
 
-# --------------------------------------------------------- hermitian base
-
-
-class _HermBase:
-    def __init__(self, space: HermitianSpace):
-        self.space = space
-        self.S = space.S
-        self.ring = space.ring
-
-    @property
-    def size(self):
-        return None if self.ring.size is None else self.ring.size ** self.rank
-
-    def enumerate_elements(self):
-        coords = [self.ring.zero] * self.rank
-
-        def rec(i):
-            if i == self.rank:
-                yield self.from_coords(coords)
-                return
-            for c in self.ring.elements():
-                coords[i] = c
-                yield from rec(i + 1)
-
-        yield from rec(0)
-
-    def eq(self, x, y):
-        return x == y
-
-    def _vec_coords(self, u):
-        out = []
-        for c in u:
-            out.extend(c)
-        return tuple(out)
-
-    def _vec_from_coords(self, c):
-        return ((c[0], c[1]), (c[2], c[3]), (c[4], c[5]))
-
-
-class CayleyAlgebra(_HermBase):
+class CayleyAlgebra(Algebra):
     """Octonion algebra S + P from a rank-3 hermitian space."""
 
     family = "cay_hermitian"
-    rank = 8
-    unital = True
 
-    def zero(self):
-        S = self.S
-        return CayElement(S.zero, _zvec(S))
-
-    def one(self):
-        S = self.S
-        return CayElement(S.one, _zvec(S))
-
-    def add(self, x, y):
-        S = self.S
-        return CayElement(S.add(x.a, y.a), vec_add(S, x.u, y.u))
-
-    def sub(self, x, y):
-        S = self.S
-        return CayElement(S.sub(x.a, y.a), vec_sub(S, x.u, y.u))
-
-    def neg(self, x):
-        S = self.S
-        return CayElement(S.neg(x.a), vec_neg(S, x.u))
-
-    def smul(self, r, x):
-        S = self.S
-        s = S.scalar(r)
-        return CayElement(S.mul(s, x.a), vec_smul(S, s, x.u))
-
-    def smul_s(self, s, x):
-        """Scale by an element of S (left module action on both slots)."""
-        S = self.S
-        return CayElement(S.mul(s, x.a), vec_smul(S, s, x.u))
+    def __init__(self, space: HermitianSpace):
+        self.space = space
+        self.S = S = space.S
+        super().__init__(space.ring, CayElement, [("a", S, None), ("u", S, 3)], unit=["a"])
 
     def mul(self, x, y):
         S, P = self.S, self.space
@@ -539,76 +404,25 @@ class CayleyAlgebra(_HermBase):
     def trace(self, x):
         return self.S.trace(x.a)
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def involution(self, x):
         return CayElement(self.S.conj(x.a), vec_neg(self.S, x.u))
-
-    def involution_norm_trace(self, x):
-        return (self.involution(x), self.norm(x), self.trace(x))
-
-    def basis(self):
-        S = self.S
-        zs, os = self.ring.zero, self.ring.one
-        out = [CayElement((os, zs), _zvec(S)), CayElement((zs, os), _zvec(S))]
-        for comp in range(2):
-            for i in range(3):
-                vec = [[zs, zs], [zs, zs], [zs, zs]]
-                vec[i][comp] = os
-                out.append(CayElement(S.zero, tuple(tuple(c) for c in vec)))
-        return out
 
     def basis_labels(self):
         s0, s1 = ("e1", "e2") if self.S.kind == "split" else ("1", "s")
         return [s0, s1] + [f"{p}{i}" for p in (s0 + ".", s1 + ".") for i in (1, 2, 3)]
 
-    def coords(self, x):
-        return tuple(x.a) + self._vec_coords(x.u)
 
-    def from_coords(self, c):
-        return CayElement((c[0], c[1]), self._vec_from_coords(c[2:8]))
-
-    def sample(self, rng):
-        return CayElement(self.S.sample(rng), self.space.sample_vec(rng))
-
-    def element_to_json(self, x):
-        S = self.S
-        return {"a": S.to_json(x.a), "u": [S.to_json(c) for c in x.u]}
-
-    def element_from_json(self, d):
-        S = self.S
-        return CayElement(S.from_json(d["a"]), tuple(S.from_json(c) for c in d["u"]))
-
-
-class ColHermAlgebra(_HermBase):
+class ColHermAlgebra(Algebra):
     """Rank-7 flexible quadratic algebra R + P from a hermitian space."""
 
     family = "col_hermitian"
-    rank = 7
-    unital = True
 
     def __init__(self, space: HermitianSpace):
-        super().__init__(space)
-        self._half = self.ring.inv(self.ring.of_int(2))
-
-    def zero(self):
-        return ColHermElement(self.ring.zero, _zvec(self.S))
-
-    def one(self):
-        return ColHermElement(self.ring.one, _zvec(self.S))
-
-    def add(self, x, y):
-        return ColHermElement(self.ring.add(x.a, y.a), vec_add(self.S, x.u, y.u))
-
-    def sub(self, x, y):
-        return ColHermElement(self.ring.sub(x.a, y.a), vec_sub(self.S, x.u, y.u))
-
-    def neg(self, x):
-        return ColHermElement(self.ring.neg(x.a), vec_neg(self.S, x.u))
-
-    def smul(self, r, x):
-        return ColHermElement(self.ring.mul(r, x.a), vec_smul(self.S, self.S.scalar(r), x.u))
+        self.space = space
+        self.S = space.S
+        R = space.ring
+        self._half = R.inv(R.of_int(2))
+        super().__init__(R, ColHermElement, [("a", R, None), ("u", space.S, 3)], unit=["a"])
 
     def mul(self, x, y):
         R, S, P = self.ring, self.S, self.space
@@ -631,65 +445,22 @@ class ColHermAlgebra(_HermBase):
     def trace(self, x):
         return self.ring.add(x.a, x.a)
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def involution(self, x):
         return ColHermElement(x.a, vec_neg(self.S, x.u))
-
-    def basis(self):
-        S = self.S
-        zs, os = self.ring.zero, self.ring.one
-        out = [self.one()]
-        for comp in range(2):
-            for i in range(3):
-                vec = [[zs, zs], [zs, zs], [zs, zs]]
-                vec[i][comp] = os
-                out.append(ColHermElement(zs, tuple(tuple(c) for c in vec)))
-        return out
 
     def basis_labels(self):
         return ["1"] + [f"p{comp}{i}" for comp in (1, 2) for i in (1, 2, 3)]
 
-    def coords(self, x):
-        return (x.a,) + self._vec_coords(x.u)
 
-    def from_coords(self, c):
-        return ColHermElement(c[0], self._vec_from_coords(c[1:7]))
-
-    def sample(self, rng):
-        return ColHermElement(self.ring.sample(rng), self.space.sample_vec(rng))
-
-    def element_to_json(self, x):
-        return {"a": self.ring.format(x.a), "u": [self.S.to_json(c) for c in x.u]}
-
-    def element_from_json(self, d):
-        return ColHermElement(
-            self.ring.parse(d["a"]), tuple(self.S.from_json(c) for c in d["u"])
-        )
-
-
-class WHermAlgebra(_HermBase):
+class WHermAlgebra(Algebra):
     """The vector algebra (P, x) of the hermitian construction."""
 
     family = "w_hermitian"
-    rank = 6
-    unital = False
 
-    def zero(self):
-        return WHermElement(_zvec(self.S))
-
-    def add(self, x, y):
-        return WHermElement(vec_add(self.S, x.u, y.u))
-
-    def sub(self, x, y):
-        return WHermElement(vec_sub(self.S, x.u, y.u))
-
-    def neg(self, x):
-        return WHermElement(vec_neg(self.S, x.u))
-
-    def smul(self, r, x):
-        return WHermElement(vec_smul(self.S, self.S.scalar(r), x.u))
+    def __init__(self, space: HermitianSpace):
+        self.space = space
+        self.S = space.S
+        super().__init__(space.ring, WHermElement, [("u", space.S, 3)])
 
     def mul(self, x, y):
         return WHermElement(self.space.cross(x.u, y.u))
@@ -697,34 +468,8 @@ class WHermAlgebra(_HermBase):
     def norm(self, x):
         return self.space.norm_vec(x.u)
 
-    def basis(self):
-        S = self.S
-        zs, os = self.ring.zero, self.ring.one
-        out = []
-        for comp in range(2):
-            for i in range(3):
-                vec = [[zs, zs], [zs, zs], [zs, zs]]
-                vec[i][comp] = os
-                out.append(WHermElement(tuple(tuple(c) for c in vec)))
-        return out
-
     def basis_labels(self):
         return [f"p{comp}{i}" for comp in (1, 2) for i in (1, 2, 3)]
-
-    def coords(self, x):
-        return self._vec_coords(x.u)
-
-    def from_coords(self, c):
-        return WHermElement(self._vec_from_coords(c))
-
-    def sample(self, rng):
-        return WHermElement(self.space.sample_vec(rng))
-
-    def element_to_json(self, x):
-        return {"u": [self.S.to_json(c) for c in x.u]}
-
-    def element_from_json(self, d):
-        return WHermElement(tuple(self.S.from_json(c) for c in d["u"]))
 
 
 # --------------------------------------------- quadratic-algebra helpers

@@ -93,6 +93,8 @@ class Sampler:
     def __post_init__(self):
         if self.mode not in ("seeded", "exhaustive"):
             raise ValueError(f"unknown sampler mode {self.mode!r}")
+        if self.count < 1:
+            raise ValueError(f"the sample count must be positive, got {self.count}")
 
     def rng(self) -> SplitMix64:
         return SplitMix64(self.seed)

@@ -38,10 +38,10 @@ from .algebras import (
     WSplitAlgebra,
     ZornAlgebra,
 )
-from .errors import ColourAlgError, SuiteNotApplicable
+from .errors import BadSpec, ColourAlgError, SuiteNotApplicable
 from .etale import make_etale
 from .graded import GradedAlgebra, GradedSpec, n1_shortcut_report, radical_analysis
-from .rings import make_ring
+from .rings import make_ring, spec_int
 from .trivec import HermitianSpace
 
 __all__ = ["main", "build_algebra", "load_config"]
@@ -51,12 +51,19 @@ _HERM_KINDS = {"cay_hermitian", "col_hermitian", "w_hermitian"}
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise BadSpec("the config must be a JSON object")
+    return config
 
 
 def _space_from_config(ring, cons: dict) -> HermitianSpace:
     S = make_etale(ring, cons["etale"])
-    gram = [[S.from_json(e) for e in row] for row in cons["gram"]]
+    rows = cons["gram"]
+    square = isinstance(rows, list) and len(rows) == 3
+    if not (square and all(isinstance(r, list) and len(r) == 3 for r in rows)):
+        raise BadSpec("the gram matrix must be a 3x3 list of etale pairs")
+    gram = [[S.from_json(e) for e in row] for row in rows]
     alpha = S.from_json(cons["alpha"])
     return HermitianSpace(S, gram, alpha)
 
@@ -65,6 +72,8 @@ def build_algebra(config: dict):
     """Construct the algebra handle described by a config dict."""
     ring = make_ring(config["ring"])
     cons = config["construction"]
+    if not isinstance(cons, dict):
+        raise BadSpec(f"the construction must be an object, got {cons!r}")
     kind = cons["kind"]
     if kind in ("col_split", "zorn", "w_split"):
         lam = ring.parse(str(cons.get("lam", "1")))
@@ -79,14 +88,14 @@ def build_algebra(config: dict):
         }[kind]
         return cls(space)
     if kind == "graded":
-        spec = GradedSpec(int(cons["l"]), int(cons["m"]), int(cons["n"]))
+        spec = GradedSpec(*(spec_int(cons, k) for k in ("l", "m", "n")))
         return GradedAlgebra(spec, ring)
     raise SuiteNotApplicable(f"unknown construction kind {kind!r}")
 
 
 def _sampler(config: dict, args) -> checks.Sampler:
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    count = args.samples if args.samples is not None else int(config.get("samples", 500))
+    seed = args.seed if args.seed is not None else spec_int(config, "seed", 0)
+    count = args.samples if args.samples is not None else spec_int(config, "samples", 500)
     mode = args.mode if args.mode is not None else config.get("mode", "seeded")
     return checks.Sampler(seed=seed, mode=mode, count=count)
 

@@ -11,6 +11,10 @@ class ColourAlgError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class BadSpec(ColourAlgError):
+    """A JSON config or spec does not have the expected shape."""
+
+
 # ---------------------------------------------------------------- rings
 
 class EvenModulus(ColourAlgError):

@@ -14,10 +14,10 @@ involution is a ring automorphism, and norm and trace land in R.
 
 from __future__ import annotations
 
-from .errors import NotAUnit, WrongRing
+from .errors import BadSpec, NotAUnit, WrongRing
 from .rings import Ring
 
-__all__ = ["EtaleAlgebra", "SplitTorus", "KummerExtension", "make_etale", "etale_to_spec"]
+__all__ = ["EtaleAlgebra", "SplitTorus", "KummerExtension", "make_etale"]
 
 
 class EtaleAlgebra:
@@ -108,9 +108,6 @@ class EtaleAlgebra:
         """Extract a conjugation-fixed element back into R."""
         raise NotImplementedError
 
-    def is_scalar(self, x) -> bool:
-        return x == self.conj(x)
-
 
 class SplitTorus(EtaleAlgebra):
     kind = "split"
@@ -188,13 +185,11 @@ class KummerExtension(EtaleAlgebra):
 
 def make_etale(ring: Ring, spec: dict) -> EtaleAlgebra:
     """Build S from ``{"kind":"split"}`` or ``{"kind":"kummer","d":"3"}``."""
+    if not isinstance(spec, dict):
+        raise BadSpec(f"an etale spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "split":
         return SplitTorus(ring)
     if kind == "kummer":
         return KummerExtension(ring, ring.parse(str(spec["d"])))
     raise WrongRing(f"unknown etale kind {kind!r}")
-
-
-def etale_to_spec(S: EtaleAlgebra) -> dict:
-    return S.to_spec()

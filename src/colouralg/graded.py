@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebras import ColSplitAlgebra, ColSplitElement
+from .algebras import Algebra, ColSplitAlgebra, ColSplitElement
 from .errors import BadDegrees, BaseNotField, WrongRing
 from .rings import PolynomialRing, Ring, monomials_of_degree
 
@@ -37,7 +37,6 @@ __all__ = [
     "GradedSpec",
     "GradedElement",
     "GradedAlgebra",
-    "graded_make",
     "graded_rank",
     "radical_analysis",
     "n1_shortcut_report",
@@ -81,26 +80,30 @@ def n1_shortcut_report(spec: GradedSpec) -> dict | None:
     return {"shortcut_value": shortcut, "rank": s, "agrees": shortcut == s}
 
 
-class GradedAlgebra:
-    """Handle exposing the same protocol as the other algebra families."""
+class GradedAlgebra(Algebra):
+    """The graded family; its slot widths are the monomial counts of (l, m, n)."""
 
     family = "graded"
-    unital = True
 
     def __init__(self, spec: GradedSpec, base: Ring):
         if isinstance(base, PolynomialRing):
             raise WrongRing("graded base ring must not be polynomial")
         self.spec = spec
-        self.ring = base
         nvars = spec.n + 1
         self.poly = PolynomialRing(base, [f"t{i}" for i in range(nvars)])
         self.basis_l = monomials_of_degree(nvars, spec.l)
         self.basis_m = monomials_of_degree(nvars, spec.m)
         self.basis_lm = monomials_of_degree(nvars, spec.l + spec.m)
-        self.rank = 1 + len(self.basis_l) + len(self.basis_m) + len(self.basis_lm)
         self._index_l = {e: i for i, e in enumerate(self.basis_l)}
         self._index_m = {e: i for i, e in enumerate(self.basis_m)}
         self._index_lm = {e: i for i, e in enumerate(self.basis_lm)}
+        slots = [
+            ("a", base, None),
+            ("fl", base, len(self.basis_l)),
+            ("fm", base, len(self.basis_m)),
+            ("flm", base, len(self.basis_lm)),
+        ]
+        super().__init__(base, GradedElement, slots, unit=["a"])
 
     # dense <-> sparse ------------------------------------------------
     def _to_poly(self, coeffs, basis):
@@ -130,50 +133,7 @@ class GradedAlgebra:
             self._to_dense(flm, self.basis_lm, self._index_lm, self.spec.l + self.spec.m),
         )
 
-    # algebra protocol -------------------------------------------------
-    def zero(self):
-        z = self.ring.zero
-        return GradedElement(
-            z,
-            (z,) * len(self.basis_l),
-            (z,) * len(self.basis_m),
-            (z,) * len(self.basis_lm),
-        )
-
-    def one(self):
-        z = self.zero()
-        return GradedElement(self.ring.one, z.fl, z.fm, z.flm)
-
-    def add(self, x, y):
-        R = self.ring
-        return GradedElement(
-            R.add(x.a, y.a),
-            tuple(R.add(a, b) for a, b in zip(x.fl, y.fl)),
-            tuple(R.add(a, b) for a, b in zip(x.fm, y.fm)),
-            tuple(R.add(a, b) for a, b in zip(x.flm, y.flm)),
-        )
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def neg(self, x):
-        R = self.ring
-        return GradedElement(
-            R.neg(x.a),
-            tuple(R.neg(c) for c in x.fl),
-            tuple(R.neg(c) for c in x.fm),
-            tuple(R.neg(c) for c in x.flm),
-        )
-
-    def smul(self, r, x):
-        R = self.ring
-        return GradedElement(
-            R.mul(r, x.a),
-            tuple(R.mul(r, c) for c in x.fl),
-            tuple(R.mul(r, c) for c in x.fm),
-            tuple(R.mul(r, c) for c in x.flm),
-        )
-
+    # the family's maths -----------------------------------------------
     def mul(self, x, y):
         R, P = self.ring, self.poly
         fl, fm, flm = self.polys_of(x)
@@ -193,9 +153,6 @@ class GradedAlgebra:
     def trace(self, x):
         return self.ring.add(x.a, x.a)
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def involution(self, x):
         return GradedElement(
             x.a,
@@ -204,57 +161,12 @@ class GradedAlgebra:
             tuple(self.ring.neg(c) for c in x.flm),
         )
 
-    def basis(self):
-        out = [self.one()]
-        zero = self.zero()
-        for i in range(len(self.basis_l)):
-            fl = list(zero.fl)
-            fl[i] = self.ring.one
-            out.append(GradedElement(self.ring.zero, tuple(fl), zero.fm, zero.flm))
-        for i in range(len(self.basis_m)):
-            fm = list(zero.fm)
-            fm[i] = self.ring.one
-            out.append(GradedElement(self.ring.zero, zero.fl, tuple(fm), zero.flm))
-        for i in range(len(self.basis_lm)):
-            flm = list(zero.flm)
-            flm[i] = self.ring.one
-            out.append(GradedElement(self.ring.zero, zero.fl, zero.fm, tuple(flm)))
-        return out
-
     def basis_labels(self):
         P = self.poly
         labels = ["1"]
         for tag, basis in (("l", self.basis_l), ("m", self.basis_m), ("lm", self.basis_lm)):
             labels += [f"{tag}:{P._monomial_str(e) or '1'}" for e in basis]
         return labels
-
-    def coords(self, x):
-        return (x.a,) + x.fl + x.fm + x.flm
-
-    def from_coords(self, c):
-        nl, nm = len(self.basis_l), len(self.basis_m)
-        return GradedElement(
-            c[0],
-            tuple(c[1 : 1 + nl]),
-            tuple(c[1 + nl : 1 + nl + nm]),
-            tuple(c[1 + nl + nm :]),
-        )
-
-    def eq(self, x, y):
-        return x == y
-
-    @property
-    def size(self):
-        return None if self.ring.size is None else self.ring.size ** self.rank
-
-    def sample(self, rng):
-        R = self.ring
-        return GradedElement(
-            R.sample(rng),
-            tuple(R.sample(rng) for _ in self.basis_l),
-            tuple(R.sample(rng) for _ in self.basis_m),
-            tuple(R.sample(rng) for _ in self.basis_lm),
-        )
 
     def element_to_json(self, x):
         P = self.poly
@@ -271,10 +183,6 @@ class GradedAlgebra:
         return self.from_polys(
             self.ring.parse(d["a"]), P.parse(d["fl"]), P.parse(d["fm"]), P.parse(d["flm"])
         )
-
-
-def graded_make(spec: GradedSpec, base: Ring) -> GradedAlgebra:
-    return GradedAlgebra(spec, base)
 
 
 def radical_analysis(A: GradedAlgebra):

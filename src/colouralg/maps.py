@@ -14,21 +14,10 @@ treat failures as data (a report with a counterexample), never as errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .algebras import (
-    CayElement,
-    CayleyAlgebra,
-    ColHermAlgebra,
-    ColHermElement,
-    ColSplitAlgebra,
-    ColSplitElement,
-    WHermAlgebra,
-    WHermElement,
-    ZornAlgebra,
-    ZornElement,
-)
+from .algebras import CayleyAlgebra, ColHermAlgebra, ColSplitAlgebra, WHermAlgebra
 from .checks import CheckReport, Sampler
 from .errors import (
     MorphismConditionFailed,
@@ -98,12 +87,8 @@ def diagonal_iso(domain, phi, lam_prime, check: bool = True) -> AlgebraMap:
     phi_inv_t = mat_transpose(mat_inv(R, phi))
     codomain = type(domain)(R, lam_prime)
 
-    if isinstance(domain, ZornAlgebra):
-        def fn(x):
-            return ZornElement(x.a, mat_vec(R, phi, x.u), mat_vec(R, phi_inv_t, x.ud), x.ap)
-    else:
-        def fn(x):
-            return ColSplitElement(x.a, mat_vec(R, phi, x.u), mat_vec(R, phi_inv_t, x.ud))
+    def fn(x):
+        return replace(x, u=mat_vec(R, phi, x.u), ud=mat_vec(R, phi_inv_t, x.ud))
 
     return AlgebraMap("diagonal", domain, codomain, fn, {"phi": phi, "lam_prime": lam_prime})
 
@@ -114,7 +99,7 @@ def dual_iso(domain: ColSplitAlgebra) -> AlgebraMap:
     codomain = ColSplitAlgebra(R, R.inv(domain.lam))
 
     def fn(x):
-        return ColSplitElement(x.a, vec_neg(R, x.ud), vec_neg(R, x.u))
+        return replace(x, u=vec_neg(R, x.ud), ud=vec_neg(R, x.u))
 
     return AlgebraMap("dual", domain, codomain, fn, {})
 
@@ -154,6 +139,9 @@ def is_isometry(P: HermitianSpace, P2: HermitianSpace, phi) -> bool:
     return lhs == P.gram
 
 
+_LIFTS = {"colour": ("G-phi", ColHermAlgebra), "cayley": ("H-phi", CayleyAlgebra)}
+
+
 def lift_isometry(P: HermitianSpace, P2: HermitianSpace, phi, target: str) -> AlgebraMap:
     """Lift an isometry (P,h,alpha) -> (P',h',alpha') to the rank-7 or rank-8
     hermitian family, as (a, u) |-> (a, phi u).
@@ -170,21 +158,14 @@ def lift_isometry(P: HermitianSpace, P2: HermitianSpace, phi, target: str) -> Al
         raise MorphismConditionFailed(
             f"det(phi) * alpha' = {S.format(S.mul(det, P2.alpha))}, expected alpha = {S.format(P.alpha)}"
         )
-    if target == "colour":
-        dom, cod = ColHermAlgebra(P), ColHermAlgebra(P2)
+    if target not in _LIFTS:
+        raise SuiteNotApplicable(f"unknown lift target {target!r}")
+    kind, cls = _LIFTS[target]
 
-        def fn(x):
-            return ColHermElement(x.a, mat_vec(S, phi, x.u))
+    def fn(x):
+        return replace(x, u=mat_vec(S, phi, x.u))
 
-        return AlgebraMap("G-phi", dom, cod, fn, {"phi": phi})
-    if target == "cayley":
-        dom, cod = CayleyAlgebra(P), CayleyAlgebra(P2)
-
-        def fn(x):
-            return CayElement(x.a, mat_vec(S, phi, x.u))
-
-        return AlgebraMap("H-phi", dom, cod, fn, {"phi": phi})
-    raise SuiteNotApplicable(f"unknown lift target {target!r}")
+    return AlgebraMap(kind, cls(P), cls(P2), fn, {"phi": phi})
 
 
 def vector_restriction(m: AlgebraMap) -> AlgebraMap:
@@ -196,7 +177,7 @@ def vector_restriction(m: AlgebraMap) -> AlgebraMap:
     S = P.S
 
     def fn(x):
-        return WHermElement(mat_vec(S, phi, x.u))
+        return replace(x, u=mat_vec(S, phi, x.u))
 
     return AlgebraMap("w-phi", WHermAlgebra(P), WHermAlgebra(P2), fn, {"phi": phi})
 
@@ -321,32 +302,19 @@ def is_homomorphism(m: AlgebraMap, sampler: Sampler) -> CheckReport:
     return CheckReport(name, checked, True, None)
 
 
-def _extend_derivation(A, d):
-    """Extend a matrix acting on P by zero on the scalar slot."""
-    S = A.S
-
-    if isinstance(A, WHermAlgebra):
-        def fn(x):
-            return WHermElement(mat_vec(S, d, x.u))
-    elif isinstance(A, ColHermAlgebra):
-        def fn(x):
-            return ColHermElement(A.ring.zero, mat_vec(S, d, x.u))
-    elif isinstance(A, CayleyAlgebra):
-        def fn(x):
-            return CayElement(S.zero, mat_vec(S, d, x.u))
-    else:
-        raise SuiteNotApplicable(f"derivation checks are not defined for {A.family}")
-    return fn
-
-
 def is_derivation(d, A, sampler: Sampler) -> CheckReport:
     """Leibniz rule d(xy) = d(x) y + x d(y) against the family product.
 
     ``d`` is a 3x3 matrix over S acting on the vector slot; it is extended by
     zero on the scalar slot of the rank-7 and rank-8 hermitian families.
     """
-    d = _validate_s_matrix(A.S, d)
-    fn = _extend_derivation(A, d)
+    S = A.S
+    d = _validate_s_matrix(S, d)
+    zero = A.zero()
+
+    def fn(x):
+        return replace(zero, u=mat_vec(S, d, x.u))
+
     name = f"derivation:{A.family}"
     checked = 0
     if sampler.mode == "exhaustive":

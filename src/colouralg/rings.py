@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
-from .errors import BadPrime, EvenModulus, NotAUnit, ParseError, WrongRing
+from .errors import BadPrime, BadSpec, EvenModulus, NotAUnit, ParseError, WrongRing
 
 __all__ = [
     "Ring",
@@ -41,9 +41,7 @@ __all__ = [
     "PrimeField",
     "PolynomialRing",
     "make_ring",
-    "ring_to_spec",
-    "invert",
-    "parse_element",
+    "spec_int",
     "monomials_of_degree",
 ]
 
@@ -181,6 +179,8 @@ class Ring:
         raise NotImplementedError
 
     def parse(self, text: str):
+        if not isinstance(text, str):
+            raise ParseError(f"element text must be a string, got {text!r}", 0)
         return _Parser(self, text).parse()
 
     def sample(self, rng):
@@ -519,26 +519,27 @@ def make_ring(spec: dict) -> Ring:
     ``{"kind":"Q"}``, ``{"kind":"Fp","p":7}``, ``{"kind":"Zmod","n":15}`` or
     ``{"kind":"poly","base":{...},"vars":["t0","t1"]}``.
     """
+    if not isinstance(spec, dict):
+        raise BadSpec(f"a ring spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "Q":
         return RationalField()
     if kind == "Fp":
-        return PrimeField(int(spec["p"]))
+        return PrimeField(spec_int(spec, "p"))
     if kind == "Zmod":
-        return IntegersMod(int(spec["n"]))
+        return IntegersMod(spec_int(spec, "n"))
     if kind == "poly":
         return PolynomialRing(make_ring(spec["base"]), list(spec["vars"]))
     raise WrongRing(f"unknown ring kind {kind!r}")
 
 
-def ring_to_spec(ring: Ring) -> dict:
-    return ring.to_spec()
+def spec_int(spec: dict, key: str, default=None) -> int:
+    """The integer field ``key`` of a JSON spec (``default`` when absent).
 
-
-def invert(ring: Ring, x):
-    """Multiplicative inverse; raises ``NotAUnit`` for non-units."""
-    return ring.inv(x)
-
-
-def parse_element(ring: Ring, text: str):
-    return ring.parse(text)
+    Floats, strings and booleans are rejected rather than truncated or
+    coerced, so ``"p": 7.5`` is an error instead of F7.
+    """
+    value = spec.get(key, default)
+    if type(value) is not int:
+        raise BadSpec(f"{key!r} must be an integer, got {value!r}")
+    return value

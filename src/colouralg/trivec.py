@@ -50,13 +50,7 @@ __all__ = [
     "mat_identity",
     "mat_smul",
     "Trivialization",
-    "twisted_cross",
-    "dual_trivialization",
     "HermitianSpace",
-    "make_hermitian_space",
-    "herm",
-    "herm_cross",
-    "bilinearize",
 ]
 
 
@@ -190,21 +184,12 @@ class Trivialization:
         return vec_smul(self.ring, self.lam, classical_cross(self.ring, u, v))
 
     def dual(self) -> "Trivialization":
+        """The trivialization beta of the dual module, with scalar lam^-1.
+
+        Pinned by alpha(u1^u2^u3) * beta(ud1^ud2^ud3) = det(<u_i, ud_j>) on
+        the standard bases, where the pairing matrix is the identity.
+        """
         return Trivialization(self.ring, self.ring.inv(self.lam))
-
-
-def twisted_cross(alpha: Trivialization, u, v):
-    """The functional w |-> lam * det(u | v | w), as row coordinates."""
-    return alpha.cross(u, v)
-
-
-def dual_trivialization(alpha: Trivialization) -> Trivialization:
-    """The trivialization beta of the dual module, with scalar lam^-1.
-
-    Pinned by alpha(u1^u2^u3) * beta(ud1^ud2^ud3) = det(<u_i, ud_j>) on the
-    standard bases, where the pairing matrix is the identity.
-    """
-    return alpha.dual()
 
 
 # ------------------------------------------------------- hermitian space
@@ -282,20 +267,3 @@ class HermitianSpace:
             and other.gram == self.gram
             and other.alpha == self.alpha
         )
-
-
-def make_hermitian_space(S: EtaleAlgebra, gram, alpha) -> HermitianSpace:
-    """Validated constructor; see the module docstring for the invariants."""
-    return HermitianSpace(S, gram, alpha)
-
-
-def herm(P: HermitianSpace, u, v):
-    return P.h(u, v)
-
-
-def herm_cross(P: HermitianSpace, v, w):
-    return P.cross(v, w)
-
-
-def bilinearize(P: HermitianSpace, u, v):
-    return P.bilinear(u, v)

@@ -147,7 +147,7 @@ def test_cay_left_unit_and_involution_example():
         assert A.mul(A.one(), x) == x
         assert A.mul(x, A.one()) == x
     x = CayElement((Fraction(1), Fraction(2)), ((S.zero),) * 3)
-    sx, n, t = A.involution_norm_trace(x)
+    sx, n, t = A.involution(x), A.norm(x), A.trace(x)
     assert sx == CayElement((Fraction(2), Fraction(1)), (S.zero,) * 3)
     assert n == Fraction(2)
     assert t == Fraction(3)

@@ -343,3 +343,61 @@ def test_bad_ring_config_exit_two(tmp_path):
 def test_missing_config_file_exit_two():
     rc, _, err = run_cli("build", "/nonexistent/cfg.json")
     assert rc == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_rejects_non_positive_samples_flag(col_cfg, samples):
+    rc, out, err = run_cli("check", col_cfg, "--samples", samples)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+_COL = {"kind": "col_split", "lam": "1"}
+_HERM = {
+    "kind": "cay_hermitian",
+    "gram": [[["1", "1"], ["0", "0"], ["0", "0"]], [["0", "0"], ["1", "1"], ["0", "0"]], [["0", "0"], ["0", "0"], ["1", "1"]]],
+    "alpha": ["1", "1"],
+}
+MALFORMED_CONFIGS = {
+    "samples-zero": {"ring": {"kind": "Fp", "p": 5}, "construction": _COL, "samples": 0},
+    "samples-float": {"ring": {"kind": "Fp", "p": 5}, "construction": _COL, "samples": 2.5},
+    "config-not-object": [{"kind": "Fp", "p": 5}, _COL],
+    "ring-not-object": {"ring": 5, "construction": _COL},
+    "poly-base-not-object": {"ring": {"kind": "poly", "base": "Q", "vars": ["t"]}, "construction": _COL},
+    "p-float": {"ring": {"kind": "Fp", "p": 7.5}, "construction": _COL},
+    "n-string": {"ring": {"kind": "Zmod", "n": "15"}, "construction": _COL},
+    "construction-not-object": {"ring": {"kind": "Q"}, "construction": "col_split"},
+    "etale-not-object": {"ring": {"kind": "Q"}, "construction": dict(_HERM, etale="split")},
+    "gram-not-list": {"ring": {"kind": "Q"}, "construction": dict(_HERM, etale={"kind": "split"}, gram=5)},
+    "gram-2x2": {
+        "ring": {"kind": "Q"},
+        "construction": dict(_HERM, etale={"kind": "split"}, gram=[[["1", "1"], ["0", "0"]], [["0", "0"], ["1", "1"]]]),
+    },
+    "graded-l-float": {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1.5, "m": 1, "n": 1}},
+    "graded-n-bool": {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1, "m": 1, "n": True}},
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CONFIGS))
+def test_malformed_config_exit_two(tmp_path, name):
+    rc, out, err = run_cli("check", write(tmp_path, "bad.json", MALFORMED_CONFIGS[name]))
+    assert rc == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "element, error",
+    [
+        ({"a": "1", "u": ["0", "1"], "ud": ["0", "0", "0"]}, "WrongRing"),
+        ({"a": 5, "u": ["0", "0", "0"], "ud": ["0", "0", "0"]}, "ParseError"),
+    ],
+    ids=["short-vector", "number-not-string"],
+)
+def test_mul_rejects_malformed_factor(tmp_path, col_cfg, element, error):
+    x = write(tmp_path, "x.json", element)
+    rc, out, err = run_cli("mul", col_cfg, x, x)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error

@@ -11,10 +11,8 @@ from colouralg.trivec import (
     Trivialization,
     classical_cross,
     det3,
-    dual_trivialization,
     mat_identity,
     pairing,
-    twisted_cross,
     vec_add,
     vec_smul,
 )
@@ -96,14 +94,14 @@ def test_twisted_cross_pairing_identity():
         rng = SplitMix64(107)
         for _ in range(100):
             u, v, w = rvec(ring, rng), rvec(ring, rng), rvec(ring, rng)
-            lhs = pairing(ring, w, twisted_cross(alpha, u, v))
+            lhs = pairing(ring, w, alpha.cross(u, v))
             assert lhs == ring.mul(lam, perm_det(ring, (u, v, w)))
 
 
 def test_twisted_cross_example_mod_7():
     alpha = Trivialization(F7, 2)
     e1, e2 = (1, 0, 0), (0, 1, 0)
-    assert twisted_cross(alpha, e1, e2) == (0, 0, 2)  # 2 * e3-dual
+    assert alpha.cross(e1, e2) == (0, 0, 2)  # 2 * e3-dual
 
 
 def test_trivialization_requires_unit():
@@ -112,11 +110,11 @@ def test_trivialization_requires_unit():
 
 
 def test_dual_trivialization():
-    assert dual_trivialization(Trivialization(Q, Q.one)).lam == Q.one
-    assert dual_trivialization(Trivialization(F7, 2)).lam == 4  # 2^-1 mod 7
+    assert Trivialization(Q, Q.one).dual().lam == Q.one
+    assert Trivialization(F7, 2).dual().lam == 4  # 2^-1 mod 7
     # defining relation on the standard bases: lam_alpha * lam_beta * det(I) = 1
     alpha = Trivialization(F7, 3)
-    beta = dual_trivialization(alpha)
+    beta = alpha.dual()
     assert F7.mul(alpha.lam, beta.lam) == F7.one
 
 
@@ -133,24 +131,24 @@ def test_make_hermitian_space_validations():
     S = etale.SplitTorus(Q)
     I = mat_identity(S)
     # valid: identity Gram, alpha = 1
-    trivec.make_hermitian_space(S, I, S.one)
+    HermitianSpace(S, I, S.one)
     # valid: alpha = (c, 1/c) has norm 1
-    trivec.make_hermitian_space(S, I, (Fraction(5), Fraction(1, 5)))
+    HermitianSpace(S, I, (Fraction(5), Fraction(1, 5)))
     # conj-symmetry failure
     bad = [list(r) for r in I]
     bad[0][1] = (Fraction(1), Fraction(2))
     with pytest.raises(NotHermitian):
-        trivec.make_hermitian_space(S, bad, S.one)
+        HermitianSpace(S, bad, S.one)
     # degenerate Gram
     deg = [list(r) for r in I]
     deg[2][2] = S.zero
     with pytest.raises(Degenerate):
-        trivec.make_hermitian_space(S, deg, S.one)
+        HermitianSpace(S, deg, S.one)
     # det 2 with alpha = 1: n_S(alpha) * det = 2 != 1
     d2 = [list(r) for r in I]
     d2[2][2] = (Fraction(2), Fraction(2))
     with pytest.raises(DeterminantNotTrivial):
-        trivec.make_hermitian_space(S, d2, S.one)
+        HermitianSpace(S, d2, S.one)
 
 
 def kummer_space(gram=None, lam=None):
