@@ -8,9 +8,12 @@ a suite restarts the generator from the configured seed, which makes reports
 independent of suite composition and byte-identical across runs.
 
 All comparisons are exact ring equality; there are no tolerances anywhere.
-Exhaustive mode enumerates coordinate space and is gated by an element-count
-cap (default 3^8); pairwise exhaustive runs over the split colour algebra on
-a modular ring use a vectorized numpy kernel.
+Exhaustive mode enumerates the coordinate space of an algebra over Z/n (the
+only finite rings), gated by an element-count cap (default 3^8).  Every
+element identity of every family runs there through one numpy batch kernel
+built from the algebra's structure constants (``_BatchView``); the report at
+the lowest failing index comes from the scalar identity, so it is the one a
+scalar enumeration would give.  numpy is imported by the kernel only.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
 
 from .algebras import (
     CayleyAlgebra,
@@ -33,7 +35,7 @@ from .algebras import (
 )
 from .errors import ExhaustiveTooLarge, SuiteNotApplicable
 from .etale import SplitTorus
-from .rings import IntegersMod, Ring
+from .rings import Ring
 from .trivec import HermitianSpace, det3, vec_add, vec_smul
 
 __all__ = [
@@ -146,88 +148,84 @@ def sample_stream(sampler: Sampler, shape):
 
 # ------------------------------------------------------------ identities
 #
-# Element identities carry an arity and receive sampled (or enumerated)
-# algebra elements.  Cross-product identities draw vectors from the ambient
-# hermitian space directly and are sampled-only.
-
-
-def _lin_comb_json(A, elems):
-    return [A.element_to_json(x) for x in elems]
+# An element identity is ``sides(A, *xs) -> (lhs, rhs)``, written against
+# ``mul``, ``add``, ``sub``, ``smul``, ``norm``, ``trace``, ``one``, ``zero``,
+# ``ring.mul`` and ``ring.neg`` only, so the same function runs on an algebra
+# handle (seeded mode, and every report) and on its ``_BatchView`` (the
+# exhaustive kernel).  ``describe(A, xs, lhs, rhs)`` gives the counterexample
+# fields of a failing input.  Cross-product identities draw vectors from the
+# ambient hermitian space directly and are sampled-only.
 
 
 def _flexible(A, x, y):
-    lhs = A.mul(A.mul(x, y), x)
-    rhs = A.mul(x, A.mul(y, x))
-    if lhs != rhs:
-        return {"lhs": A.element_to_json(lhs), "rhs": A.element_to_json(rhs)}
-    return None
+    return A.mul(A.mul(x, y), x), A.mul(x, A.mul(y, x))
 
 
 def _jordan(A, x, y):
     x2 = A.mul(x, x)
-    lhs = A.mul(A.mul(x, y), x2)
-    rhs = A.mul(x, A.mul(y, x2))
-    if lhs != rhs:
-        return {"lhs": A.element_to_json(lhs), "rhs": A.element_to_json(rhs)}
-    return None
+    return A.mul(A.mul(x, y), x2), A.mul(x, A.mul(y, x2))
 
 
 def _quadratic(A, x):
-    n, t = A.norm_trace(x)
-    acc = A.add(A.sub(A.mul(x, x), A.smul(t, x)), A.smul(n, A.one()))
-    if acc != A.zero():
-        return {"residual": A.element_to_json(acc)}
-    return None
+    acc = A.add(A.sub(A.mul(x, x), A.smul(A.trace(x), x)), A.smul(A.norm(x), A.one()))
+    return acc, A.zero()
 
 
 def _composition(A, x, y):
-    R = A.ring
-    lhs = A.norm(A.mul(x, y))
-    rhs = R.mul(A.norm(x), A.norm(y))
-    if lhs != rhs:
-        return {"n(xy)": R.format(lhs), "n(x)n(y)": R.format(rhs)}
-    return None
+    return A.norm(A.mul(x, y)), A.ring.mul(A.norm(x), A.norm(y))
 
 
 def _anticommutative(A, x, y):
-    if A.add(A.mul(x, y), A.mul(y, x)) != A.zero():
-        return {"xy": A.element_to_json(A.mul(x, y)), "yx": A.element_to_json(A.mul(y, x))}
-    return None
+    return A.add(A.mul(x, y), A.mul(y, x)), A.zero()
 
 
 def _quartic(A, x, v):
     """((x v) v) v = -n(v) (x v) on the rank-6 vector algebras."""
     xv = A.mul(x, v)
-    lhs = A.mul(A.mul(xv, v), v)
-    rhs = A.smul(A.ring.neg(A.norm(v)), xv)
-    if lhs != rhs:
-        return {"lhs": A.element_to_json(lhs), "rhs": A.element_to_json(rhs)}
-    return None
+    return A.mul(A.mul(xv, v), v), A.smul(A.ring.neg(A.norm(v)), xv)
 
 
 def _power3(A, x):
     x2 = A.mul(x, x)
-    if A.mul(x2, x) != A.mul(x, x2):
-        return {"x": A.element_to_json(x)}
-    return None
+    return A.mul(x2, x), A.mul(x, x2)
 
 
 def _power4(A, x):
     x2 = A.mul(x, x)
-    if A.mul(x2, x2) != A.mul(A.mul(x2, x), x):
-        return {"x": A.element_to_json(x)}
-    return None
+    return A.mul(x2, x2), A.mul(A.mul(x2, x), x)
 
 
+def _sides_json(A, xs, lhs, rhs):
+    return {"lhs": A.element_to_json(lhs), "rhs": A.element_to_json(rhs)}
+
+
+def _residual_json(A, xs, lhs, rhs):
+    return {"residual": A.element_to_json(lhs)}
+
+
+def _norms_json(A, xs, lhs, rhs):
+    return {"n(xy)": A.ring.format(lhs), "n(x)n(y)": A.ring.format(rhs)}
+
+
+def _products_json(A, xs, lhs, rhs):
+    x, y = xs
+    return {"xy": A.element_to_json(A.mul(x, y)), "yx": A.element_to_json(A.mul(y, x))}
+
+
+def _x_json(A, xs, lhs, rhs):
+    return {"x": A.element_to_json(xs[0])}
+
+
+# name -> (arity, sides, describe)
 ELEMENT_IDENTITIES = {
-    "flexible": (2, _flexible),
-    "jordan": (2, _jordan),
-    "quadratic-relation": (1, _quadratic),
-    "norm-composition": (2, _composition),
-    "anticommutative": (2, _anticommutative),
-    "quartic": (2, _quartic),
-    "power-associativity-deg3": (1, _power3),
-    "power-associativity-deg4": (1, _power4),
+    "flexible": (2, _flexible, _sides_json),
+    "jordan": (2, _jordan, _sides_json),
+    "quadratic-relation": (1, _quadratic, _residual_json),
+    "norm-composition": (2, _composition, _norms_json),
+    "anticommutative": (2, _anticommutative, _products_json),
+    "quartic": (2, _quartic, _sides_json),
+    "power-associativity-deg3": (1, _power3, _x_json),
+    "power-associativity-deg4": (1, _power4, _x_json),
 }
 
 
@@ -400,101 +398,151 @@ def _run_cross_identity(A, identity, sampler) -> CheckReport:
 
 
 def _run_element_identity(A, identity, sampler) -> CheckReport:
-    arity, fn = ELEMENT_IDENTITIES[identity]
+    arity, sides, _ = ELEMENT_IDENTITIES[identity]
     if sampler.mode == "exhaustive":
-        return _run_exhaustive(A, identity, arity, fn, sampler)
+        _exhaustive_size(A, sampler.cap)
+        return _colsplit_exhaustive_pairs(A, identity)
     rng = sampler.rng()
     for i in range(sampler.count):
         elems = [A.sample(rng) for _ in range(arity)]
-        bad = fn(A, *elems)
-        if bad is not None:
-            bad["index"] = i
-            bad["inputs"] = _lin_comb_json(A, elems)
-            return CheckReport(identity, i + 1, False, bad)
+        lhs, rhs = sides(A, *elems)
+        if lhs != rhs:
+            return _failure(A, identity, i, elems)
     return CheckReport(identity, sampler.count, True, None)
 
 
-def _run_exhaustive(A, identity, arity, fn, sampler) -> CheckReport:
-    size = _exhaustive_size(A, sampler.cap)
-    if (
-        identity in ("flexible", "jordan")
-        and isinstance(A, ColSplitAlgebra)
-        and isinstance(A.ring, IntegersMod)
-    ):
-        return _colsplit_exhaustive_pairs(A, identity)
-    if arity == 1:
-        for i, x in enumerate(A.enumerate_elements()):
-            bad = fn(A, x)
-            if bad is not None:
-                bad["index"] = i
-                bad["inputs"] = _lin_comb_json(A, [x])
-                return CheckReport(identity, i + 1, False, bad)
-        return CheckReport(identity, size, True, None)
-    elems = list(A.enumerate_elements())
-    checked = 0
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            checked += 1
-            bad = fn(A, x, y)
-            if bad is not None:
-                bad["index"] = i * size + j
-                bad["inputs"] = _lin_comb_json(A, [x, y])
-                return CheckReport(identity, checked, False, bad)
-    return CheckReport(identity, checked, True, None)
+def _failure(A, identity, index, elems) -> CheckReport:
+    """The report of the lowest failing input, from the scalar identity."""
+    _, sides, describe = ELEMENT_IDENTITIES[identity]
+    lhs, rhs = sides(A, *elems)
+    bad = describe(A, elems, lhs, rhs) if lhs != rhs else {}
+    bad["index"] = index
+    bad["inputs"] = [A.element_to_json(x) for x in elems]
+    return CheckReport(identity, index + 1, False, bad)
 
 
-def colsplit_mul_batch(A: ColSplitAlgebra, X, Y):
-    """Vectorized split-colour product on (..., 7) coordinate arrays over Z/p.
+# ------------------------------------------------------------ batch kernel
+#
+# Over Z/n an algebra is fixed by its structure constants: the product
+# C[i, j, k] (coordinate k of e_i e_j), the norm as an upper-triangular
+# quadratic form and the trace as a linear form, with e_i the coordinate unit
+# vectors.  ``_BatchView`` holds them and evaluates the identities on whole
+# arrays of coordinate rows, reducing mod n after every step.  Every
+# intermediate sum is at most r^2 (n-1)^3 for rank r, so the rows are int64
+# when that fits and Python integers (dtype object) when it does not.
 
-    Coordinate order matches ``ColSplitAlgebra.coords``: (a, u1..u3, v1..v3).
+_BLOCK = 1024  # rows per arity-1 block (64 KB at rank 8); pairs run y over the whole table
+
+
+class _BatchView:
+    """An algebra over Z/n acting on (rows, rank) coordinate arrays.
+
+    Scalars are (rows, 1) columns, so they broadcast against elements.
     """
-    p = A.ring.n
-    lam = A.lam % p
-    lam_inv = pow(lam, -1, p)
-    half = pow(2, -1, p)
-    xa, xu, xd = X[..., 0], X[..., 1:4], X[..., 4:7]
-    ya, yu, yd = Y[..., 0], Y[..., 1:4], Y[..., 4:7]
-    diag = (xa * ya + half * ((xu * yd).sum(-1) + (yu * xd).sum(-1))) % p
-    t = (xa[..., None] * yu + ya[..., None] * xu - lam_inv * np.cross(xd, yd)) % p
-    d = (ya[..., None] * xd + xa[..., None] * yd + lam * np.cross(xu, yu)) % p
-    return np.concatenate([diag[..., None], t, d], axis=-1)
+
+    def __init__(self, A):
+        import numpy as np
+
+        R, r = A.ring, A.rank
+        self.np, self.n, self.rank = np, R.n, r
+        self.dtype = np.int64 if r * r * (R.n - 1) ** 3 < 2**63 else object
+        e = [A.from_coords([R.one if k == i else R.zero for k in range(r)]) for i in range(r)]
+        norms = [A.norm(x) for x in e]
+        form = [[0] * r for _ in range(r)]
+        for i in range(r):
+            form[i][i] = norms[i]
+            for j in range(i + 1, r):
+                form[i][j] = R.sub(R.sub(A.norm(A.add(e[i], e[j])), norms[i]), norms[j])
+        self.C = self.rows([[A.coords(A.mul(x, y)) for y in e] for x in e])
+        self.Q = self.rows(form)
+        # L_x = x . C[i, :, :] and R_y = C[:, j, :] . y as single matrix products
+        self.CL = self.C.reshape(r, r * r)
+        self.CR = self.C.transpose(0, 2, 1).reshape(r * r, r)
+        self.T = self.rows([[A.trace(x)] for x in e]) if A.unital else None
+        self._one = self.rows([A.coords(A.one())]) if A.unital else None
+        self._zero = self.rows([[0] * r])
+        self.ring = _BatchRing(R.n)
+
+    def rows(self, values):
+        return self.np.array(values, dtype=self.dtype)
+
+    def table(self):
+        """Every coordinate row, in ``enumerate_elements`` order (coordinate 0 most significant)."""
+        n, r = self.n, self.rank
+        idx = self.np.arange(n**r)
+        out = self.np.empty((n**r, r), dtype=self.dtype)
+        for k in range(r):
+            out[:, k] = idx // n ** (r - 1 - k) % n
+        return out
+
+    def mul(self, X, Y):
+        return colsplit_mul_batch(self, X, Y)
+
+    def add(self, X, Y):
+        return (X + Y) % self.n
+
+    def sub(self, X, Y):
+        return (X - Y) % self.n
+
+    def smul(self, t, X):
+        return t * X % self.n
+
+    def norm(self, X):
+        return (X @ self.Q % self.n * X).sum(-1, keepdims=True) % self.n
+
+    def trace(self, X):
+        return X @ self.T % self.n
+
+    def one(self):
+        return self._one
+
+    def zero(self):
+        return self._zero
 
 
-def _colsplit_exhaustive_pairs(A: ColSplitAlgebra, identity: str) -> CheckReport:
-    """All-pairs flexible/Jordan check over Z/p via the batch kernel.
+class _BatchRing:
+    """Z/n on (rows, 1) scalar columns."""
 
-    The kernel is cross-validated against the scalar multiplication in the
-    test suite; x varies in an outer loop while y runs vectorized.
-    """
-    p = A.ring.n
-    size = p ** 7
-    idx = np.arange(size, dtype=np.int64)
-    tab = np.empty((size, 7), dtype=np.int64)
-    for k in range(7):
-        tab[:, k] = (idx // p ** k) % p
+    def __init__(self, n):
+        self.n = n
 
-    for i in range(size):
-        x = tab[i : i + 1]
-        xy = colsplit_mul_batch(A, x, tab)
-        if identity == "flexible":
-            lhs = colsplit_mul_batch(A, xy, x)
-            rhs = colsplit_mul_batch(A, x, colsplit_mul_batch(A, tab, x))
-        else:  # jordan
-            x2 = colsplit_mul_batch(A, x, x)
-            lhs = colsplit_mul_batch(A, xy, x2)
-            rhs = colsplit_mul_batch(A, x, colsplit_mul_batch(A, tab, x2))
-        eq = (lhs == rhs).all(-1)
-        if not eq.all():
-            j = int(np.nonzero(~eq)[0][0])
-            xe = A.from_coords([int(c) for c in tab[i]])
-            ye = A.from_coords([int(c) for c in tab[j]])
-            return CheckReport(
-                identity,
-                i * size + j + 1,
-                False,
-                {"index": i * size + j, "inputs": _lin_comb_json(A, [xe, ye])},
-            )
-    return CheckReport(identity, size * size, True, None)
+    def mul(self, a, b):
+        return a * b % self.n
+
+    def neg(self, a):
+        return -a % self.n
+
+
+def colsplit_mul_batch(B: _BatchView, X, Y):
+    """Batch product X Y mod n for every family; perfbench's tracer times the kernel under this name."""
+    n, r = B.n, B.rank
+    if len(X) == 1:  # Y L_x
+        return Y @ (X[0] @ B.CL % n).reshape(r, r) % n
+    if len(Y) == 1:  # X R_y
+        return X @ (B.CR @ Y[0] % n).reshape(r, r) % n
+    out = 0
+    for i in range(r):
+        out = out + X[:, i : i + 1] * (Y @ B.C[i])
+    return out % n
+
+
+def _colsplit_exhaustive_pairs(A, identity: str) -> CheckReport:
+    """Exhaustive driver for every family and arity; perfbench's tracer counts kernel runs by this name."""
+    arity, sides, _ = ELEMENT_IDENTITIES[identity]
+    B = _BatchView(A)
+    table = B.table()
+    size = len(table)
+    block = _BLOCK if arity == 1 else size
+    for head, xs in enumerate(product(range(size), repeat=arity - 1)):
+        fixed = [table[i : i + 1] for i in xs]
+        for start in range(0, size, block):
+            lhs, rhs = sides(B, *fixed, table[start : start + block])
+            eq = lhs == rhs
+            if not eq.all():
+                j = start + int(eq.all(-1).argmin())
+                elems = [A.from_coords([int(c) for c in table[i]]) for i in (*xs, j)]
+                return _failure(A, identity, head * size + j, elems)
+    return CheckReport(identity, size**arity, True, None)
 
 
 def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:

@@ -38,15 +38,19 @@ from .algebras import (
     WSplitAlgebra,
     ZornAlgebra,
 )
-from .errors import BadSpec, ColourAlgError, SuiteNotApplicable
+from .errors import BadDegrees, BadSpec, ColourAlgError, SuiteNotApplicable
 from .etale import make_etale
-from .graded import GradedAlgebra, GradedSpec, n1_shortcut_report, radical_analysis
+from .graded import GradedAlgebra, GradedSpec, graded_rank, n1_shortcut_report, radical_analysis
 from .rings import make_ring, spec_int
 from .trivec import HermitianSpace
 
 __all__ = ["main", "build_algebra", "load_config"]
 
 _HERM_KINDS = {"cay_hermitian", "col_hermitian", "w_hermitian"}
+
+# build prints rank^2 products and graded-info's radical analysis grows like
+# rank^3; at rank 125 they take about 1 s and 8 s
+GRADED_RANK_LIMIT = 128
 
 
 def load_config(path: str) -> dict:
@@ -75,6 +79,8 @@ def build_algebra(config: dict):
     if not isinstance(cons, dict):
         raise BadSpec(f"the construction must be an object, got {cons!r}")
     kind = cons["kind"]
+    if not isinstance(kind, str):
+        raise BadSpec(f"the construction kind must be a string, got {kind!r}")
     if kind in ("col_split", "zorn", "w_split"):
         lam = ring.parse(str(cons.get("lam", "1")))
         cls = {"col_split": ColSplitAlgebra, "zorn": ZornAlgebra, "w_split": WSplitAlgebra}[kind]
@@ -89,6 +95,9 @@ def build_algebra(config: dict):
         return cls(space)
     if kind == "graded":
         spec = GradedSpec(*(spec_int(cons, k) for k in ("l", "m", "n")))
+        rank = graded_rank(spec)
+        if rank > GRADED_RANK_LIMIT:
+            raise BadDegrees(f"graded rank {rank} exceeds the limit {GRADED_RANK_LIMIT}")
         return GradedAlgebra(spec, ring)
     raise SuiteNotApplicable(f"unknown construction kind {kind!r}")
 

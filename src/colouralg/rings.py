@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator
 
 from .errors import BadPrime, BadSpec, EvenModulus, NotAUnit, ParseError, WrongRing
@@ -314,11 +314,30 @@ class IntegersMod(Ring):
         return hash((self.kind, self.n))
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# PRIME_LIMIT (Sorenson & Webster, 2015); larger p are refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for odd p below ``PRIME_LIMIT``."""
     if p < 3 or p % 2 == 0:
         return False
-    for d in range(3, isqrt(p) + 1, 2):
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -327,6 +346,8 @@ class PrimeField(IntegersMod):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise BadPrime(f"{p} is too large: primality is decided exactly only below {PRIME_LIMIT}")
         if not _is_odd_prime(p):
             raise BadPrime(f"{p} is not an odd prime")
         super().__init__(p)
@@ -529,7 +550,10 @@ def make_ring(spec: dict) -> Ring:
     if kind == "Zmod":
         return IntegersMod(spec_int(spec, "n"))
     if kind == "poly":
-        return PolynomialRing(make_ring(spec["base"]), list(spec["vars"]))
+        names = spec["vars"]
+        if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+            raise BadSpec(f"'vars' must be a list of variable names, got {names!r}")
+        return PolynomialRing(make_ring(spec["base"]), names)
     raise WrongRing(f"unknown ring kind {kind!r}")
 
 

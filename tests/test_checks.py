@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colouralg import algebras, checks, etale, rings
 from colouralg.checks import CheckReport, Sampler, SplitMix64, report_json_line
 from colouralg.errors import ExhaustiveTooLarge, SuiteNotApplicable
+from colouralg.graded import GradedAlgebra, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity
 
 Q = rings.RationalField()
@@ -115,19 +118,56 @@ def test_report_counterexample_iff_failed():
     assert bad.counterexample == again.counterexample
 
 
-def test_batch_kernel_agrees_with_scalar_multiplication():
-    import numpy as np
+def _kummer_det1_space(ring):
+    # non-identity Gram matrix [[1, a, 0], [conj a, 2, 0], [0, 0, 1]] with n(a) = 1
+    K = etale.KummerExtension(ring, 3)
+    z, o = K.zero, K.one
+    a = (2, 1)
+    return HermitianSpace(K, [[o, a, z], [K.conj(a), K.scalar(2), z], [z, z, o]], o)
 
-    for lam in (1, 2):
-        A = algebras.ColSplitAlgebra(F3, lam)
-        rng = SplitMix64(404)
-        xs = [A.sample(rng) for _ in range(500)]
-        ys = [A.sample(rng) for _ in range(500)]
-        X = np.array([A.coords(x) for x in xs], dtype=np.int64)
-        Y = np.array([A.coords(y) for y in ys], dtype=np.int64)
-        P = checks.colsplit_mul_batch(A, X, Y)
-        for k, (x, y) in enumerate(zip(xs, ys)):
-            assert A.from_coords([int(c) for c in P[k]]) == A.mul(x, y)
+
+F_BIG = rings.PrimeField(1048573)  # r^2 (p-1)^3 >= 2^63: the kernel runs on Python integers
+
+KERNEL_HANDLES = [
+    algebras.ColSplitAlgebra(F3, 2),
+    algebras.ColSplitAlgebra(rings.IntegersMod(15), 7),
+    algebras.ZornAlgebra(F5, 3),
+    algebras.WSplitAlgebra(F7, 2),
+    algebras.CayleyAlgebra(_kummer_det1_space(F7)),
+    algebras.ColHermAlgebra(HermitianSpace(etale.SplitTorus(F5), mat_identity(etale.SplitTorus(F5)), (2, 3))),
+    algebras.WHermAlgebra(_kummer_det1_space(F7)),
+    GradedAlgebra(GradedSpec(1, 2, 1), F5),
+    algebras.ColSplitAlgebra(F_BIG, 5),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_kernel_agrees_with_scalar_multiplication(data):
+    # the structure-constant kernel against the scalar mul, norm and trace,
+    # on batch-by-batch products and on both single-row shortcuts
+    A = data.draw(st.sampled_from(KERNEL_HANDLES), label="algebra")
+    n, r = A.ring.n, A.rank
+    row = st.lists(st.integers(0, n - 1), min_size=r, max_size=r)
+    k = data.draw(st.integers(1, 4), label="rows")
+    xs = data.draw(st.lists(row, min_size=k, max_size=k), label="x")
+    ys = data.draw(st.lists(row, min_size=k, max_size=k), label="y")
+    B = checks._BatchView(A)
+    assert (B.dtype is object) == (A.ring is F_BIG)
+    X, Y = B.rows(xs), B.rows(ys)
+    ex = [A.from_coords(c) for c in xs]
+    ey = [A.from_coords(c) for c in ys]
+
+    def elements(P):
+        return [A.from_coords([int(c) for c in p]) for p in P]
+
+    assert elements(checks.colsplit_mul_batch(B, X, Y)) == [A.mul(x, y) for x, y in zip(ex, ey)]
+    assert elements(checks.colsplit_mul_batch(B, X[:1], Y)) == [A.mul(ex[0], y) for y in ey]
+    assert elements(checks.colsplit_mul_batch(B, X, Y[:1])) == [A.mul(x, ey[0]) for x in ex]
+    assert [int(v) for v in B.norm(X)[:, 0]] == [A.norm(x) for x in ex]
+    if A.unital:
+        assert [int(v) for v in B.trace(X)[:, 0]] == [A.trace(x) for x in ex]
+        assert elements(B.one()) == [A.one()]
 
 
 def test_exhaustive_flexible_kernel_runs_all_pairs():
@@ -145,25 +185,50 @@ def test_exhaustive_jordan_kernel_runs_all_pairs():
 
 
 def test_exhaustive_kernel_detects_planted_corruption(monkeypatch):
-    # corrupt one entry of the x*y batch for x index 1 (the coordinate vector
-    # of the scalar 1, so products propagate unchanged); the kernel must
-    # report exactly the pair (x index 1, y index 5)
+    # corrupt one row of the first x*y batch for x = 1, whose index in the
+    # lexicographic order is 3^6 (products with 1 propagate unchanged); the
+    # kernel must report exactly the pair (3^6, 5), and since the scalar
+    # identity holds there, only its index and inputs
+    A = algebras.ColSplitAlgebra(F3, 1)
+    i, j = 3**6, 5
+    one = list(A.coords(A.one()))
     real = checks.colsplit_mul_batch
-    calls = {"n": 0}
+    planted = []
 
-    def corrupted(A, X, Y):
-        out = real(A, X, Y)
-        calls["n"] += 1
-        if calls["n"] == 5:  # 4 batch calls per x iteration; call 5 is xy at i=1
+    def corrupted(B, X, Y):
+        out = real(B, X, Y)
+        if not planted and len(X) == 1 and len(Y) == 3**7 and X[0].tolist() == one:
+            planted.append(True)
             out = out.copy()
-            out[5, 1] = (out[5, 1] + 1) % 3
+            out[j, 1] = (out[j, 1] + 1) % 3
         return out
 
     monkeypatch.setattr(checks, "colsplit_mul_batch", corrupted)
-    A = algebras.ColSplitAlgebra(F3, 1)
     report = checks.run_identity(A, "flexible", Sampler(mode="exhaustive"))
+    assert planted
     assert not report.passed
-    assert report.counterexample["index"] == 3**7 + 5
+    assert report.samples == i * 3**7 + j + 1
+    elems = list(A.enumerate_elements())
+    assert report.counterexample == {
+        "index": i * 3**7 + j,
+        "inputs": [A.element_to_json(elems[i]), A.element_to_json(elems[j])],
+    }
+
+
+def test_planted_scalar_fault_same_counterexample_seeded_and_exhaustive(monkeypatch):
+    # a wrong half-weight breaks the quadratic relation; with the seeded draws
+    # replaced by the enumeration order both modes visit the same inputs, so
+    # the kernel's report must equal the scalar path's field for field
+    A = algebras.ColSplitAlgebra(F3, 1)
+    A._half = 1  # correct value is inv(2) = 2 mod 3
+    exhaustive = checks.run_identity(A, "quadratic-relation", Sampler(mode="exhaustive"))
+    stream = A.enumerate_elements()
+    monkeypatch.setattr(A, "sample", lambda rng: next(stream))
+    seeded = checks.run_identity(A, "quadratic-relation", Sampler(count=3**7))
+    assert not exhaustive.passed and not seeded.passed
+    assert set(exhaustive.counterexample) == {"residual", "index", "inputs"}
+    assert exhaustive.counterexample == seeded.counterexample
+    assert exhaustive.samples == seeded.samples
 
 
 def test_generic_exhaustive_loop_detects_planted_failure():
@@ -183,7 +248,7 @@ def test_exhaustive_quadratic_generic_loop():
 
 
 def test_w_split_exhaustive_pairs_small():
-    # generic pairwise exhaustive loop on the rank-6 family over F3
+    # the batch kernel on all pairs of the rank-6 family over F3
     A = algebras.WSplitAlgebra(F3, 1)
     report = checks.run_identity(A, "anticommutative", Sampler(mode="exhaustive"))
     assert report.passed

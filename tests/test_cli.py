@@ -376,6 +376,8 @@ MALFORMED_CONFIGS = {
     },
     "graded-l-float": {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1.5, "m": 1, "n": 1}},
     "graded-n-bool": {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1, "m": 1, "n": True}},
+    "poly-vars-int": {"ring": {"kind": "poly", "base": {"kind": "Q"}, "vars": 5}, "construction": _COL},
+    "construction-kind-list": {"ring": {"kind": "Q"}, "construction": dict(_COL, kind=["col_split"])},
 }
 
 
@@ -401,3 +403,28 @@ def test_mul_rejects_malformed_factor(tmp_path, col_cfg, element, error):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("command", ["build", "graded-info"])
+def test_graded_rank_limit_exit_two(tmp_path, command):
+    # rank 1 + 35 + 35 + 165 = 236: refused before any basis is built
+    cfg = write(tmp_path, "g.json", {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 4, "m": 4, "n": 3}})
+    proc = subprocess.run([sys.executable, "-m", "colouralg", command, cfg], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "BadDegrees", "message": "graded rank 236 exceeds the limit 128"}
+
+
+@pytest.mark.parametrize(
+    "p, rc",
+    [(1000000000000000003, 0), (2**89 - 1, 2)],
+    ids=["prime-near-1e18", "prime-above-limit"],
+)
+def test_prime_check_is_bounded(tmp_path, p, rc):
+    cfg = write(tmp_path, "p.json", {"ring": {"kind": "Fp", "p": p}, "construction": {"kind": "col_split"}})
+    proc = subprocess.run([sys.executable, "-m", "colouralg", "build", cfg], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == rc
+    if rc == 2:
+        assert json.loads(proc.stderr)["error"] == "BadPrime"
+    else:
+        assert json.loads(proc.stdout)["ring"] == {"kind": "Fp", "p": p}

@@ -75,6 +75,21 @@ def test_modular_constructor_rejections():
         rings.PrimeField(2)
 
 
+def test_prime_check_is_exact():
+    # Miller-Rabin against trial division, and on strong pseudoprimes to
+    # every prime base up to 23 and up to 37 (the latter is 399165290221 *
+    # 798330580441; only the thirteenth base, 41, exposes it)
+    def trial(p):
+        return p > 2 and p % 2 == 1 and all(p % d for d in range(3, int(p**0.5) + 1, 2))
+
+    assert [p for p in range(5000) if rings._is_odd_prime(p)] == [p for p in range(5000) if trial(p)]
+    assert not rings._is_odd_prime(3825123056546413051)
+    assert not rings._is_odd_prime(318665857834031151167461)
+    assert rings.PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(BadPrime):
+        rings.PrimeField(rings.PRIME_LIMIT + 2)
+
+
 def test_invert_examples():
     f7 = rings.PrimeField(7)
     assert f7.inv(2) == 4  # 2*4 = 8 = 1 mod 7
