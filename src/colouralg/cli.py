@@ -249,19 +249,16 @@ def cmd_graded_info(config: dict, args) -> int:
     enumerated = 1 + len(A.basis_l) + len(A.basis_m) + len(A.basis_lm)
     out["checks"].append({"name": "rank-matches-enumeration", "pass": enumerated == A.rank})
     if A.ring.is_field:
-        _, dim, nilp = radical_analysis(A)
+        _, dim, nilp, findings = radical_analysis(A)
         out["radical_dim"] = dim
         out["nilpotency"] = nilp
-        out["checks"] += [
-            {"name": "radical-is-ideal", "pass": True},
-            {"name": "radical-cube-zero", "pass": True},
-        ]
+        out["checks"] += [{"name": name, "pass": ok} for name, ok in findings.items()]
     else:
         out["radical_dim"] = None
         out["nilpotency"] = None
         out["note"] = "radical analysis requires a field base"
     _emit(out)
-    return 0
+    return 0 if all(c["pass"] for c in out["checks"]) else 1
 
 
 def main(argv=None) -> int:

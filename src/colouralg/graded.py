@@ -188,10 +188,13 @@ class GradedAlgebra(Algebra):
 def radical_analysis(A: GradedAlgebra):
     """Radical of the degenerate norm over a field base.
 
-    Returns ``(basis, dimension, nilpotency_index)`` where the basis spans
-    the three polynomial slots.  Verifies on basis products that the span is
-    a two-sided ideal, that its square lands in the top slot, and that its
-    cube vanishes.
+    Returns ``(basis, dimension, nilpotency_index, checks)`` where the basis
+    spans the three polynomial slots and ``checks`` maps each finding on
+    basis products to whether it holds: ``radical-is-ideal`` (the span is a
+    two-sided ideal) and ``radical-cube-zero`` (every product of two radical
+    elements lies in the top slot and is annihilated by the radical on both
+    sides).  The nilpotency index is 3, or 2 when the square vanishes, and
+    None when the cube does not vanish.
     """
     if not A.ring.is_field:
         raise BaseNotField(f"radical analysis needs a field base, got {A.ring.kind}")
@@ -209,25 +212,13 @@ def radical_analysis(A: GradedAlgebra):
             and all(A.ring.is_zero(c) for c in x.fm)
         )
 
-    for r in rad:
-        for b in full:
-            if not in_radical(A.mul(r, b)) or not in_radical(A.mul(b, r)):
-                raise AssertionError("radical is not an ideal")
-    squares = []
-    for r1 in rad:
-        for r2 in rad:
-            p = A.mul(r1, r2)
-            if not in_top_slot(p):
-                raise AssertionError("rad^2 escapes the top slot")
-            if p != zero:
-                squares.append(p)
-    if not squares:
-        raise AssertionError("rad^2 vanished; nilpotency index would be below 3")
-    for p in squares:
-        for r in rad:
-            if A.mul(p, r) != zero or A.mul(r, p) != zero:
-                raise AssertionError("rad^3 is nonzero")
-    return rad, len(rad), 3
+    ideal = all(in_radical(A.mul(r, b)) and in_radical(A.mul(b, r)) for r in rad for b in full)
+    squares = [p for p in (A.mul(r1, r2) for r1 in rad for r2 in rad) if p != zero]
+    cube_zero = all(in_top_slot(p) for p in squares) and all(
+        A.mul(p, r) == zero and A.mul(r, p) == zero for p in squares for r in rad
+    )
+    nilpotency = (3 if squares else 2) if cube_zero else None
+    return rad, len(rad), nilpotency, {"radical-is-ideal": ideal, "radical-cube-zero": cube_zero}
 
 
 def embed_into_col_split(A: GradedAlgebra):

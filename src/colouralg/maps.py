@@ -14,7 +14,8 @@ treat failures as data (a report with a counterexample), never as errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Callable
 
 from .algebras import CayleyAlgebra, ColHermAlgebra, ColSplitAlgebra, WHermAlgebra
@@ -67,6 +68,20 @@ class AlgebraMap:
         return self.fn(x)
 
 
+def _transport(A, base=None, **slots):
+    """``x |-> A.element(...)`` built positionally in field order (the layout order).
+
+    A field named in ``slots`` is computed from x by its function; every
+    other field is copied from x, or from ``base`` when one is given.
+    """
+    parts = [
+        slots.get(f.name) or (attrgetter(f.name) if base is None else (lambda x, v=getattr(base, f.name): v))
+        for f in fields(A.element)
+    ]
+    element = A.element
+    return lambda x: element(*[part(x) for part in parts])
+
+
 # ----------------------------------------------------------- split maps
 
 
@@ -86,10 +101,7 @@ def diagonal_iso(domain, phi, lam_prime, check: bool = True) -> AlgebraMap:
         )
     phi_inv_t = mat_transpose(mat_inv(R, phi))
     codomain = type(domain)(R, lam_prime)
-
-    def fn(x):
-        return replace(x, u=mat_vec(R, phi, x.u), ud=mat_vec(R, phi_inv_t, x.ud))
-
+    fn = _transport(codomain, u=lambda x: mat_vec(R, phi, x.u), ud=lambda x: mat_vec(R, phi_inv_t, x.ud))
     return AlgebraMap("diagonal", domain, codomain, fn, {"phi": phi, "lam_prime": lam_prime})
 
 
@@ -97,10 +109,7 @@ def dual_iso(domain: ColSplitAlgebra) -> AlgebraMap:
     """(a, u, ud) |-> (a, -ud, -u) into the dual-trivialized algebra."""
     R = domain.ring
     codomain = ColSplitAlgebra(R, R.inv(domain.lam))
-
-    def fn(x):
-        return replace(x, u=vec_neg(R, x.ud), ud=vec_neg(R, x.u))
-
+    fn = _transport(codomain, u=lambda x: vec_neg(R, x.ud), ud=lambda x: vec_neg(R, x.u))
     return AlgebraMap("dual", domain, codomain, fn, {})
 
 
@@ -161,11 +170,9 @@ def lift_isometry(P: HermitianSpace, P2: HermitianSpace, phi, target: str) -> Al
     if target not in _LIFTS:
         raise SuiteNotApplicable(f"unknown lift target {target!r}")
     kind, cls = _LIFTS[target]
-
-    def fn(x):
-        return replace(x, u=mat_vec(S, phi, x.u))
-
-    return AlgebraMap(kind, cls(P), cls(P2), fn, {"phi": phi})
+    codomain = cls(P2)
+    fn = _transport(codomain, u=lambda x: mat_vec(S, phi, x.u))
+    return AlgebraMap(kind, cls(P), codomain, fn, {"phi": phi})
 
 
 def vector_restriction(m: AlgebraMap) -> AlgebraMap:
@@ -175,11 +182,9 @@ def vector_restriction(m: AlgebraMap) -> AlgebraMap:
     P, P2 = m.domain.space, m.codomain.space
     phi = m.data["phi"]
     S = P.S
-
-    def fn(x):
-        return replace(x, u=mat_vec(S, phi, x.u))
-
-    return AlgebraMap("w-phi", WHermAlgebra(P), WHermAlgebra(P2), fn, {"phi": phi})
+    codomain = WHermAlgebra(P2)
+    fn = _transport(codomain, u=lambda x: mat_vec(S, phi, x.u))
+    return AlgebraMap("w-phi", WHermAlgebra(P), codomain, fn, {"phi": phi})
 
 
 def custom_map(domain, codomain, table) -> AlgebraMap:
@@ -310,10 +315,7 @@ def is_derivation(d, A, sampler: Sampler) -> CheckReport:
     """
     S = A.S
     d = _validate_s_matrix(S, d)
-    zero = A.zero()
-
-    def fn(x):
-        return replace(zero, u=mat_vec(S, d, x.u))
+    fn = _transport(A, A.zero(), u=lambda x: mat_vec(S, d, x.u))
 
     name = f"derivation:{A.family}"
     checked = 0

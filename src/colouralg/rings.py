@@ -49,7 +49,8 @@ __all__ = [
 # --------------------------------------------------------------------------
 # tokenizer shared by every ring's parser
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^])")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>{_NAME})|(?P<op>[-+*/^])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -391,6 +392,9 @@ class PolynomialRing(Ring):
             raise WrongRing("polynomial ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise WrongRing("duplicate variable names")
+        for v in variables:
+            if not (isinstance(v, str) and re.fullmatch(_NAME, v)):
+                raise WrongRing(f"variable name {v!r} is not a name of the element grammar ({_NAME})")
         self.base = base
         self.variables = list(variables)
         self.nvars = len(variables)

@@ -290,7 +290,7 @@ def test_criterion_09_graded_counts_and_radical():
     for lmn in ((1, 1, 1), (1, 2, 1), (2, 2, 2)):
         l, m, n = lmn
         A = GradedAlgebra(GradedSpec(l, m, n), F7)
-        _, dim, nilpotency = radical_analysis(A)
+        _, dim, nilpotency, _ = radical_analysis(A)
         assert dim == comb(l + n, n) + comb(m + n, n) + comb(l + m + n, n)
         assert nilpotency == 3
     # the n = 1 shortcut must be flagged as disagreeing with the rank,

@@ -1,7 +1,10 @@
+import copy
 import json
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from colouralg import algebras, checks, etale, rings
@@ -185,34 +188,129 @@ def test_exhaustive_jordan_kernel_runs_all_pairs():
 
 
 def test_exhaustive_kernel_detects_planted_corruption(monkeypatch):
-    # corrupt one row of the first x*y batch for x = 1, whose index in the
-    # lexicographic order is 3^6 (products with 1 propagate unchanged); the
-    # kernel must report exactly the pair (3^6, 5), and since the scalar
+    # corrupt one row of the first x*v batch for x = e_0 (lexicographic index
+    # 3^5) on quartic, which is cubic in v and so runs the whole v table; the
+    # kernel must report exactly the pair (3^5, 28), and since the scalar
     # identity holds there, only its index and inputs
-    A = algebras.ColSplitAlgebra(F3, 1)
-    i, j = 3**6, 5
-    one = list(A.coords(A.one()))
+    A = algebras.WSplitAlgebra(F3, 1)
+    i, j = 3**5, 28
+    x = [1, 0, 0, 0, 0, 0]
     real = checks.colsplit_mul_batch
     planted = []
 
     def corrupted(B, X, Y):
         out = real(B, X, Y)
-        if not planted and len(X) == 1 and len(Y) == 3**7 and X[0].tolist() == one:
+        if not planted and len(X) == 1 and len(Y) == 3**6 and X[0].tolist() == x:
             planted.append(True)
             out = out.copy()
-            out[j, 1] = (out[j, 1] + 1) % 3
+            out[j, 2] = (out[j, 2] + 1) % 3
         return out
 
     monkeypatch.setattr(checks, "colsplit_mul_batch", corrupted)
-    report = checks.run_identity(A, "flexible", Sampler(mode="exhaustive"))
+    report = checks.run_identity(A, "quartic", Sampler(mode="exhaustive"))
     assert planted
     assert not report.passed
-    assert report.samples == i * 3**7 + j + 1
+    assert report.samples == i * 3**6 + j + 1
     elems = list(A.enumerate_elements())
     assert report.counterexample == {
-        "index": i * 3**7 + j,
+        "index": i * 3**6 + j,
         "inputs": [A.element_to_json(elems[i]), A.element_to_json(elems[j])],
     }
+
+
+def test_last_argument_degrees():
+    # the probe path is taken exactly for the identities of degree <= 1 in y
+    degrees = {
+        name: checks._y_degree(sides)
+        for name, (arity, sides, _) in checks.ELEMENT_IDENTITIES.items()
+        if arity == 2
+    }
+    assert degrees == {
+        "flexible": 1,
+        "jordan": 1,
+        "anticommutative": 1,
+        "norm-composition": 2,
+        "quartic": 3,
+    }
+
+
+AFFINE_HANDLES = [
+    (algebras.ColSplitAlgebra(F3, 2), "flexible"),
+    (algebras.ColSplitAlgebra(F3, 1), "jordan"),
+    (algebras.WSplitAlgebra(F3, 1), "anticommutative"),
+    (algebras.WSplitAlgebra(F3, 2), "anticommutative"),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from(AFFINE_HANDLES),
+    ijk=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    delta=st.integers(1, 2),
+)
+@example(case=AFFINE_HANDLES[2], ijk=(0, 5, 0), delta=1)  # e_0 e_5 is seen by the last probe row only
+def test_probe_path_report_equals_full_table_pass(case, ijk, delta):
+    # one wrong structure constant C[i, j, k] (coordinate k of e_i e_j); the
+    # probe path must give the report of the pass over every (x, y) pair
+    A, identity = copy.copy(case[0]), case[1]
+    r = A.rank
+    assume(max(ijk) < r)
+    i, j, k = ijk
+    units = [A.from_coords([int(c == m) for c in range(r)]) for m in range(r)]
+    real = A.mul
+
+    def planted(x, y):
+        out = real(x, y)
+        if x == units[i] and y == units[j]:
+            c = list(A.coords(out))
+            c[k] = (c[k] + delta) % 3
+            out = A.from_coords(c)
+        return out
+
+    A.mul = planted
+    probed = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_y_degree", lambda sides: 2)
+        full = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
+    assert probed.to_json() == full.to_json()
+
+
+def test_quadratic_identity_runs_every_y():
+    # norm-composition is quadratic in y; on w_split over F3 the first
+    # failing x (index 28) agrees on 0 and every unit row, so only the whole
+    # y table finds its lowest failing pair, which a scalar enumeration confirms
+    A = algebras.WSplitAlgebra(F3, 1)
+    report = checks.run_identity(A, "norm-composition", Sampler(mode="exhaustive"))
+    elems = list(A.enumerate_elements())
+    _, sides, _ = checks.ELEMENT_IDENTITIES["norm-composition"]
+    index = next(
+        i * len(elems) + j
+        for i, x in enumerate(elems)
+        for j, y in enumerate(elems)
+        for lhs, rhs in [sides(A, x, y)]
+        if lhs != rhs
+    )
+    assert index // len(elems) == 28
+    B = checks._BatchView(A)
+    lhs, rhs = sides(B, B.table()[28:29], B.rows([[0] * 6] + [[int(c == m) for c in range(6)] for m in range(6)]))
+    assert (lhs == rhs).all()
+    assert not report.passed
+    assert report.counterexample["index"] == index
+    assert report.samples == index + 1
+
+
+def test_seeded_suites_do_not_import_numpy():
+    # numpy belongs to the exhaustive kernel only; seeded runs stay without it
+    code = (
+        "import sys\n"
+        "from colouralg import algebras, checks, rings\n"
+        "A = algebras.ColSplitAlgebra(rings.PrimeField(7), 3)\n"
+        "reports = checks.run_suite(A, 'all-applicable', checks.Sampler(seed=5, count=50))\n"
+        "assert reports and all(r.passed for r in reports)\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_planted_scalar_fault_same_counterexample_seeded_and_exhaustive(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -315,6 +316,45 @@ def test_graded_info(tmp_path):
     assert all(c["pass"] for c in info["checks"])
 
 
+@pytest.mark.parametrize(
+    "slot, nilpotency, findings",
+    [("a", 3, [False, True]), ("fl", None, [True, False])],
+    ids=["unit-slot", "degree-l-slot"],
+)
+def test_graded_info_reports_planted_wrong_product(tmp_path, monkeypatch, capsys, slot, nilpotency, findings):
+    # the first radical basis element r gains a 1 in the unit slot of r 1
+    # (the radical is no longer an ideal) or in the degree-l slot of r r (a
+    # square leaves the top slot); graded-info reports the finding, exit 1
+    from colouralg import cli
+    from colouralg.graded import GradedAlgebra, GradedSpec
+    from colouralg.rings import PrimeField
+
+    unit, first = GradedAlgebra(GradedSpec(1, 1, 1), PrimeField(7)).basis()[:2]
+    right = unit if slot == "a" else first
+    real = GradedAlgebra.mul
+
+    def planted(self, x, y):
+        out = real(self, x, y)
+        if x == first and y == right:
+            out = replace(out, a=1) if slot == "a" else replace(out, fl=(1,) + out.fl[1:])
+        return out
+
+    monkeypatch.setattr(GradedAlgebra, "mul", planted)
+    cfg = write(
+        tmp_path,
+        "g.json",
+        {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1, "m": 1, "n": 1}},
+    )
+    assert cli.main(["graded-info", cfg]) == 1
+    info = json.loads(capsys.readouterr().out)
+    assert info["nilpotency"] == nilpotency
+    assert info["checks"] == [
+        {"name": "rank-matches-enumeration", "pass": True},
+        {"name": "radical-is-ideal", "pass": findings[0]},
+        {"name": "radical-cube-zero", "pass": findings[1]},
+    ]
+
+
 def test_graded_info_non_field_base(tmp_path):
     cfg = write(
         tmp_path,
@@ -377,6 +417,7 @@ MALFORMED_CONFIGS = {
     "graded-l-float": {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1.5, "m": 1, "n": 1}},
     "graded-n-bool": {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1, "m": 1, "n": True}},
     "poly-vars-int": {"ring": {"kind": "poly", "base": {"kind": "Q"}, "vars": 5}, "construction": _COL},
+    "poly-var-not-name": {"ring": {"kind": "poly", "base": {"kind": "Q"}, "vars": ["t", "1x"]}, "construction": _COL},
     "construction-kind-list": {"ring": {"kind": "Q"}, "construction": dict(_COL, kind=["col_split"])},
 }
 

@@ -131,15 +131,16 @@ def test_flexible_and_jordan():
 def test_radical_analysis(lmn):
     l, m, n = lmn
     A = GradedAlgebra(GradedSpec(l, m, n), F7)
-    rad, dim, nilp = radical_analysis(A)
+    rad, dim, nilp, findings = radical_analysis(A)
     assert dim == comb(l + n, n) + comb(m + n, n) + comb(l + m + n, n)
     assert dim == A.rank - 1 == len(rad)
     assert nilp == 3
+    assert findings == {"radical-is-ideal": True, "radical-cube-zero": True}
 
 
 def test_radical_example_dimension_1_2_1():
     A = GradedAlgebra(GradedSpec(1, 2, 1), F7)
-    _, dim, _ = radical_analysis(A)
+    _, dim, _, _ = radical_analysis(A)
     assert dim == 2 + 3 + 4 == 9
 
 
