@@ -38,7 +38,7 @@ from .algebras import (
     WSplitAlgebra,
     ZornAlgebra,
 )
-from .errors import BadDegrees, BadSpec, ColourAlgError, SuiteNotApplicable
+from .errors import BadDegrees, BadSpec, ColourAlgError, NotSLinear, SuiteNotApplicable
 from .etale import make_etale
 from .graded import GradedAlgebra, GradedSpec, graded_rank, n1_shortcut_report, radical_analysis
 from .rings import make_ring, spec_int
@@ -166,20 +166,33 @@ def cmd_check(config: dict, args) -> int:
     return 0 if ok else 1
 
 
+def _matrix(data, rows: int, cols: int, parse) -> list:
+    """A rows x cols JSON matrix of map data, each entry parsed."""
+    if not (
+        isinstance(data, list)
+        and len(data) == rows
+        and all(isinstance(row, list) and len(row) == cols for row in data)
+    ):
+        raise NotSLinear(f"map data must be a {rows} x {cols} matrix, got {data!r}")
+    return [[parse(e) for e in row] for row in data]
+
+
 def cmd_map_check(config: dict, args) -> int:
     A = build_algebra(config)
     sampler = _sampler(config, args)
     with open(args.mapfile, "r", encoding="utf-8") as fh:
         mdesc = json.load(fh)
+    if not isinstance(mdesc, dict):
+        raise BadSpec("the map description must be a JSON object")
     kind = mdesc["kind"]
     if kind == "derivation":
         if not hasattr(A, "space"):
             raise SuiteNotApplicable("derivation maps need a hermitian construction")
-        d = [[A.S.from_json(e) for e in row] for row in mdesc["matrix"]]
+        d = _matrix(mdesc["matrix"], 3, 3, A.S.from_json)
         report = maps.is_derivation(d, A, sampler)
     else:
         if kind == "diagonal":
-            phi = [[A.ring.parse(e) for e in row] for row in mdesc["matrix"]]
+            phi = _matrix(mdesc["matrix"], 3, 3, A.ring.parse)
             lam_prime = A.ring.parse(str(mdesc["lam_prime"]))
             m = maps.diagonal_iso(A, phi, lam_prime)
         elif kind == "dual":
@@ -187,18 +200,18 @@ def cmd_map_check(config: dict, args) -> int:
         elif kind == "cube-root":
             m = maps.cube_root_auto(A, A.ring.parse(str(mdesc["mu"])))
         elif kind == "custom":
-            table = [[A.ring.parse(e) for e in row] for row in mdesc["table"]]
+            table = _matrix(mdesc["table"], A.rank, A.rank, A.ring.parse)
             m = maps.custom_map(A, A, table)
         elif kind in ("G-phi", "H-phi"):
             if not hasattr(A, "space"):
                 raise SuiteNotApplicable(f"{kind} maps need a hermitian construction")
             space = A.space
-            phi = [[A.S.from_json(e) for e in row] for row in mdesc["matrix"]]
+            phi = _matrix(mdesc["matrix"], 3, 3, A.S.from_json)
             target_space = space
             if "gram_prime" in mdesc or "alpha_prime" in mdesc:
                 S = space.S
                 gram = (
-                    [[S.from_json(e) for e in row] for row in mdesc["gram_prime"]]
+                    _matrix(mdesc["gram_prime"], 3, 3, S.from_json)
                     if "gram_prime" in mdesc
                     else space.gram
                 )
@@ -217,12 +230,17 @@ def cmd_map_check(config: dict, args) -> int:
     return 0 if report.passed else 1
 
 
+def _load_element(A, path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise BadSpec(f"an element file must hold a JSON object, got {data!r}")
+    return A.element_from_json(data)
+
+
 def cmd_mul(config: dict, args) -> int:
     A = build_algebra(config)
-    with open(args.x, "r", encoding="utf-8") as fh:
-        x = A.element_from_json(json.load(fh))
-    with open(args.y, "r", encoding="utf-8") as fh:
-        y = A.element_from_json(json.load(fh))
+    x, y = _load_element(A, args.x), _load_element(A, args.y)
     p = A.mul(x, y)
     out = {"product": A.element_to_json(p), "norm": A.ring.format(A.norm(p))}
     if A.unital:

@@ -142,7 +142,7 @@ class GradedAlgebra(Algebra):
         hm = P.add(P.smul(x.a, gm), P.smul(y.a, fm))
         hlm = P.add(
             P.add(P.smul(y.a, flm), P.smul(x.a, glm)),
-            P.add(P.mul(fl, gm), P.neg(P.mul(fm, gl))),
+            P.sub(P.mul(fl, gm), P.mul(fm, gl)),
         )
         return self.from_polys(R.mul(x.a, y.a), hl, hm, hlm)
 

@@ -13,6 +13,18 @@ elements are plain payloads (``Fraction``, ``int`` residue in ``[0, n)``, or
 a sparse ``{exponent-tuple: coefficient}`` dict with no zero coefficients).
 Payload equality is structural, so ``==`` decides element equality.
 
+Q payloads stay ``fractions.Fraction`` because callers (the benchmark jobs,
+the tests) hand ``Fraction`` values in, and ``str``/``==``/``hash`` of a
+``Fraction`` are what the output and the checks compare.  The Q operations
+do not go through the ``Fraction`` operators, though: they apply the gcd
+reductions of CPython's ``Fraction._add``/``_mul`` to ``_numerator`` and
+``_denominator`` and build the reduced result with ``_fraction``, which
+fills those two slots of ``object.__new__(Fraction)``; a zero operand
+returns at once.  That skips operator dispatch, type checks and a second
+normalisation; exact ring arithmetic is what bounds every check over Q and
+polynomial rings.  ``tests/test_rings.py::test_fraction_slot_layout`` pins
+the slot layout.
+
 Element grammar (whitespace insignificant)::
 
     element  :=  ['-'] term (('+' | '-') term)*
@@ -30,6 +42,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add as _add_exps
 from typing import Iterator
 
 from .errors import BadPrime, BadSpec, EvenModulus, NotAUnit, ParseError, WrongRing
@@ -158,11 +171,11 @@ class Ring:
     def neg(self, a):
         raise NotImplementedError
 
-    def mul(self, a, b):
+    def sub(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    def mul(self, a, b):
+        raise NotImplementedError
 
     def of_int(self, k: int):
         raise NotImplementedError
@@ -213,6 +226,30 @@ class Ring:
         return f"<{type(self).__name__} {self.kind}>"
 
 
+_new_object = object.__new__
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den, for coprime num and den > 0 (not re-checked)."""
+    f = _new_object(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
+
+
+def _fraction_sum(na: int, da: int, nb: int, db: int) -> Fraction:
+    """na/da + nb/db for reduced operands, reduced as ``Fraction._add`` does."""
+    g = gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
+
 class RationalField(Ring):
     kind = "Q"
     size = None
@@ -223,13 +260,37 @@ class RationalField(Ring):
         self.one = Fraction(1)
 
     def add(self, a, b):
-        return a + b
+        if not a._numerator:
+            return b
+        if not b._numerator:
+            return a
+        return _fraction_sum(a._numerator, a._denominator, b._numerator, b._denominator)
+
+    def sub(self, a, b):
+        if not b._numerator:
+            return a
+        return _fraction_sum(a._numerator, a._denominator, -b._numerator, b._denominator)
 
     def neg(self, a):
-        return -a
+        return _fraction(-a._numerator, a._denominator)
 
     def mul(self, a, b):
-        return a * b
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        if not na or not nb:
+            return self.zero
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _fraction(na * nb, db * da)
+
+    def is_zero(self, a):
+        return not a._numerator
 
     def of_int(self, k):
         return Fraction(k)
@@ -277,6 +338,9 @@ class IntegersMod(Ring):
 
     def add(self, a, b):
         return (a + b) % self.n
+
+    def sub(self, a, b):
+        return (a - b) % self.n
 
     def neg(self, a):
         return (-a) % self.n
@@ -407,30 +471,47 @@ class PolynomialRing(Ring):
         return {e: c for e, c in d.items() if not self.base.is_zero(c)}
 
     def add(self, a, b):
+        base = self.base
         out = dict(a)
         for e, c in b.items():
-            s = self.base.add(out.get(e, self.base.zero), c)
-            if self.base.is_zero(s):
-                out.pop(e, None)
+            if e in out:
+                s = base.add(out[e], c)
+                if base.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
             else:
-                out[e] = s
+                out[e] = c
+        return out
+
+    def sub(self, a, b):
+        base = self.base
+        out = dict(a)
+        for e, c in b.items():
+            if e in out:
+                s = base.sub(out[e], c)
+                if base.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = base.neg(c)
         return out
 
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
 
     def mul(self, a, b):
+        base_add, base_mul = self.base.add, self.base.mul
         out: dict = {}
-        base = self.base
+        get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = base.add(out.get(e, base.zero), base.mul(c1, c2))
-                if base.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+                e = tuple(map(_add_exps, e1, e2))
+                c = base_mul(c1, c2)
+                prev = get(e)
+                out[e] = c if prev is None else base_add(prev, c)
+        return self._norm(out)
 
     def of_int(self, k):
         c = self.base.of_int(k)
@@ -503,7 +584,7 @@ class PolynomialRing(Ring):
         out = {}
         for _ in range(rng.below(3) + 1):
             exps = tuple(rng.below(3) for _ in range(self.nvars))
-            out = self.add(out, {exps: self.base.sample(rng)})
+            out = self.add(out, self._norm({exps: self.base.sample(rng)}))
         return out
 
     def to_spec(self):

@@ -262,6 +262,49 @@ def test_map_check_custom_table(tmp_path, col_cfg):
     assert not json.loads(out)["pass"]
 
 
+_S_ONE, _S_ZERO = ["1", "1"], ["0", "0"]
+_S_IDENTITY = [[_S_ONE if i == j else _S_ZERO for j in range(3)] for i in range(3)]
+_HERM_F5 = {
+    "ring": {"kind": "Fp", "p": 5},
+    "construction": {
+        "kind": "col_hermitian",
+        "etale": {"kind": "split"},
+        "gram": _S_IDENTITY,
+        "alpha": _S_ONE,
+    },
+}
+_COL_F5 = {"ring": {"kind": "Fp", "p": 5}, "construction": {"kind": "col_split", "lam": "1"}}
+
+# (config, map description, expected error)
+MALFORMED_MAPS = {
+    "not-object": (_COL_F5, [1], "BadSpec"),
+    "diagonal-matrix-int": (_COL_F5, {"kind": "diagonal", "matrix": 5, "lam_prime": "1"}, "NotSLinear"),
+    "diagonal-2x3": (
+        _COL_F5,
+        {"kind": "diagonal", "matrix": [["1", "0", "0"], ["0", "1", "0"]], "lam_prime": "1"},
+        "NotSLinear",
+    ),
+    "custom-table-int": (_COL_F5, {"kind": "custom", "table": 5}, "NotSLinear"),
+    "custom-rows-int": (_COL_F5, {"kind": "custom", "table": [5] * 7}, "NotSLinear"),
+    "g-phi-matrix-int": (_HERM_F5, {"kind": "G-phi", "matrix": 5}, "NotSLinear"),
+    "g-phi-gram-prime-rows-int": (
+        _HERM_F5,
+        {"kind": "G-phi", "matrix": _S_IDENTITY, "gram_prime": [5, 5, 5]},
+        "NotSLinear",
+    ),
+    "derivation-matrix-int": (_HERM_F5, {"kind": "derivation", "matrix": 5}, "NotSLinear"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_MAPS))
+def test_malformed_map_exit_two(tmp_path, name):
+    config, mdesc, error = MALFORMED_MAPS[name]
+    rc, out, err = run_cli("map-check", write(tmp_path, "c.json", config), write(tmp_path, "m.json", mdesc))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_mul_graded_worked_example(tmp_path):
     cfg = write(
         tmp_path,
@@ -435,8 +478,9 @@ def test_malformed_config_exit_two(tmp_path, name):
     [
         ({"a": "1", "u": ["0", "1"], "ud": ["0", "0", "0"]}, "WrongRing"),
         ({"a": 5, "u": ["0", "0", "0"], "ud": ["0", "0", "0"]}, "ParseError"),
+        ([1], "BadSpec"),
     ],
-    ids=["short-vector", "number-not-string"],
+    ids=["short-vector", "number-not-string", "not-object"],
 )
 def test_mul_rejects_malformed_factor(tmp_path, col_cfg, element, error):
     x = write(tmp_path, "x.json", element)

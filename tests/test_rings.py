@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from colouralg import rings
 from colouralg.checks import SplitMix64
@@ -41,12 +43,152 @@ def test_ring_axioms_on_samples(ring):
         assert ring.sub(a, b) == ring.add(a, ring.neg(b))
 
 
+def _coefficient(base, num, den):
+    """num/den in a scalar base ring; the denominator is dropped when it is
+    not a unit there."""
+    if isinstance(base, rings.RationalField):
+        return Fraction(num, den)
+    n = base.n
+    return num * pow(den, -1, n) % n if gcd(den, n) == 1 else num % n
+
+
+def _element(ring, terms):
+    """The element described by ``{exponents: (num, den)}``: the sparse
+    polynomial of those terms, or for a scalar ring the first coefficient."""
+    if not isinstance(ring, rings.PolynomialRing):
+        return next((_coefficient(ring, *c) for c in terms.values()), ring.zero)
+    out = {}
+    for exps, c in terms.items():
+        out[exps[: ring.nvars]] = _coefficient(ring.base, *c)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+# numerators and denominators far beyond the sampler's +-10
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(), st.integers(min_value=1)),
+    max_size=4,
+)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.kind)
-def test_parse_format_roundtrip(ring):
-    rng = SplitMix64(77)
-    for _ in range(200):
-        x = ring.sample(rng)
+@settings(max_examples=60, deadline=None)
+@example(terms=None)  # the fixed draws: 200 samples of SplitMix64(77)
+@example(terms={(0, 0, 0): (-(10**40) - 1, 10**30), (2, 1, 0): (0, 1), (1, 0, 3): (7, 10**25 + 13)})
+@given(terms=_TERMS)
+def test_parse_format_roundtrip(ring, terms):
+    if terms is None:
+        rng = SplitMix64(77)
+        xs = [ring.sample(rng) for _ in range(200)]
+    else:
+        xs = [_element(ring, terms)]
+    for x in xs:
         assert ring.parse(ring.format(x)) == x
+
+
+def test_fraction_slot_layout():
+    # RationalField builds its results by filling exactly these two slots
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+_BIG_FRACTIONS = st.builds(Fraction, st.integers(), st.integers(min_value=1))
+
+
+@settings(max_examples=300, deadline=None)
+@example(a=Fraction(0), b=Fraction(0))
+@example(a=Fraction(-1, 2), b=Fraction(1, 2))
+@example(a=Fraction(3, 4), b=Fraction(-3, 4))
+@example(a=Fraction(5, 6), b=Fraction(7, 10))
+@example(a=Fraction(-(10**40) + 3, 6 * 10**35), b=Fraction(10**38, 9 * 10**35 + 1))
+@given(a=_BIG_FRACTIONS, b=_BIG_FRACTIONS)
+def test_rational_ops_match_fraction_operators(a, b):
+    Q = rings.RationalField()
+    for got, want in (
+        (Q.add(a, b), a + b),
+        (Q.sub(a, b), a - b),
+        (Q.mul(a, b), a * b),
+        (Q.neg(a), -a),
+        (Q.add(a, Q.neg(a)), Fraction(0)),
+    ):
+        assert type(got) is Fraction
+        assert got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got.denominator > 0
+        assert gcd(got.numerator, got.denominator) == 1
+        assert hash(got) == hash(want)
+    assert Q.is_zero(a) == (a == 0)
+    assert Q.is_zero(b) == (b == 0)
+
+
+def _reference_ops(base):
+    """Base-ring add, mul and zero test through the payloads' own operators."""
+    if isinstance(base, rings.RationalField):
+        return (lambda x, y: x + y), (lambda x, y: x * y), (lambda x: x == 0)
+    n = base.n
+    return (lambda x, y: (x + y) % n), (lambda x, y: x * y % n), (lambda x: x == 0)
+
+
+def _reference_add(base, a, b):
+    # the per-term loop of the original PolynomialRing.add
+    add, _, is_zero = _reference_ops(base)
+    out = dict(a)
+    for e, c in b.items():
+        s = add(out.get(e, base.zero), c)
+        if is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _reference_mul(base, a, b):
+    # the per-term loop of the original PolynomialRing.mul
+    add, mul, is_zero = _reference_ops(base)
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = add(out.get(e, base.zero), mul(c1, c2))
+            if is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _reference_neg(base, a):
+    _, mul, _ = _reference_ops(base)
+    return {e: mul(c, base.of_int(-1)) for e, c in a.items()}
+
+
+_POLY_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+    st.tuples(st.integers(-4, 4) | st.integers(), st.integers(1, 6) | st.integers(min_value=1)),
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize(
+    "base", [rings.RationalField(), rings.PrimeField(7), rings.IntegersMod(15)], ids=lambda r: r.kind
+)
+@settings(max_examples=150, deadline=None)
+# (t0 + t1)(t0 - t1): the cross terms cancel
+@example(a={(1, 0, 0): (1, 1), (0, 1, 0): (1, 1)}, b={(1, 0, 0): (1, 1), (0, 1, 0): (-1, 1)})
+# (1/2 + t0)(-1/2 + t0) = t0^2 - 1/4: the t0 terms cancel
+@example(a={(0, 0, 0): (1, 2), (1, 0, 0): (1, 1)}, b={(0, 0, 0): (-1, 2), (1, 0, 0): (1, 1)})
+# 3 t0 * 5 t1 is zero in Z/15; a - a is zero everywhere
+@example(a={(1, 0, 0): (3, 1)}, b={(0, 1, 0): (5, 1)})
+@example(a={(2, 1, 0): (10**30 + 1, 3)}, b={(2, 1, 0): (10**30 + 1, 3)})
+@given(a=_POLY_TERMS, b=_POLY_TERMS)
+def test_poly_ops_match_per_term_reference(base, a, b):
+    P = rings.PolynomialRing(base, ["t0", "t1"])
+    x, y = _element(P, a), _element(P, b)
+    assert P.mul(x, y) == _reference_mul(base, x, y)
+    assert P.add(x, y) == _reference_add(base, x, y)
+    assert P.sub(x, y) == _reference_add(base, x, _reference_neg(base, y))
+    assert P.sub(x, x) == {}
+    for z in (P.mul(x, y), P.add(x, y), P.sub(x, y)):
+        assert all(not base.is_zero(c) for c in z.values())
 
 
 def test_make_ring_specs_roundtrip():
