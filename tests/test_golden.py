@@ -4,10 +4,16 @@ Each case runs one CLI command in-process and compares its exit code and its
 exact stdout with ``tests/golden/cli.json``.  The fixtures cover one
 configuration per family (plus a polynomial base ring and a non-field
 graded base); the failing controls pin counterexamples, and with them the
-SplitMix64 draw order, the basis order and the lowest failing index.  Two
-in-process cases pin the ``norm-composition`` control on ``col_split``
-(seeded and exhaustive), which the CLI cannot request because the suite is
-gated off for that family.
+SplitMix64 draw order, the basis order and the lowest failing index.
+
+The in-process cases pin reports the CLI cannot produce: the
+``norm-composition`` control on ``col_split`` (seeded and exhaustive), which
+the CLI cannot request because the suite is gated off for that family; the
+``herm-cross`` suite on spaces with a planted fault in alpha, ``h`` or the
+cross product; homomorphism, derivation, cross-construction and Cayley-Zorn
+checks that fail, some under a planted fault in a family's ``mul`` or
+``norm``.  Their stdout is the report JSON lines, their exit code 1 when a
+report fails.
 
 Regenerate the goldens only when an output change is intended::
 
@@ -20,11 +26,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from colouralg import checks, cli, rings
-from colouralg.algebras import ColSplitAlgebra
+from colouralg import checks, cli, etale, maps, rings
+from colouralg.algebras import CayleyAlgebra, ColSplitAlgebra, WHermAlgebra, WSplitAlgebra, ZornAlgebra
+from colouralg.trivec import HermitianSpace, mat_identity
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
 
@@ -147,11 +156,158 @@ def control_norm_composition(mode):
         A, sampler = ColSplitAlgebra(rings.IntegersMod(15), 2), checks.Sampler(seed=11, count=50)
     else:
         A, sampler = ColSplitAlgebra(rings.PrimeField(3), 1), checks.Sampler(mode="exhaustive")
-    report = checks.run_identity(A, "norm-composition", sampler)
-    return 1 if not report.passed else 0, checks.report_json_line(report) + "\n"
+    return [checks.run_identity(A, "norm-composition", sampler)]
 
 
-CONTROLS = {"control:norm-composition/col_split-seeded": "seeded", "control:norm-composition/col_split-exhaustive": "exhaustive"}
+# ----- planted faults in the hermitian space behind the herm-cross suite
+
+
+def _split_f7():
+    S = etale.SplitTorus(rings.PrimeField(7))
+    return S, mat_identity(S)
+
+
+def _kummer(R):
+    """S = R[r]/(r^2 - 3) with the det-1 Gram matrix [[1, 2+r, 0], [2-r, 2, 0], [0, 0, 1]]."""
+    K = etale.KummerExtension(R, R.of_int(3))
+    z, o = K.zero, K.one
+    s = (R.of_int(2), R.of_int(1))
+    return K, ((o, s, z), (K.conj(s), K.scalar(R.of_int(2)), z), (z, z, o))
+
+
+class _SwappedH(HermitianSpace):
+    """h with its arguments swapped: conjugate-linear in the second slot."""
+
+    def h(self, u, v):
+        return HermitianSpace.h(self, v, u)
+
+
+class _PerturbedCross(HermitianSpace):
+    """The cross product plus v_1 w_1 in its first coordinate."""
+
+    def cross(self, v, w):
+        c = HermitianSpace.cross(self, v, w)
+        return (self.S.add(c[0], self.S.mul(v[0], w[0])), c[1], c[2])
+
+
+class _RareCross(HermitianSpace):
+    """The cross product plus 1 in its last coordinate when two draws agree (~1 in 7)."""
+
+    def cross(self, v, w):
+        c = HermitianSpace.cross(self, v, w)
+        return (c[0], c[1], self.S.add(c[2], self.S.one)) if v[0][0] == w[1][1] else c
+
+
+def _alpha_doubled():
+    S, gram = _split_f7()
+    P = HermitianSpace(S, gram, S.one)
+    P.alpha = S.add(S.one, S.one)  # after validation: n_S(alpha) det(H) = 4
+    return P
+
+
+def herm_cross(space):
+    return checks.run_suite(WHermAlgebra(space), "herm-cross", checks.Sampler(seed=11, count=20))
+
+
+# ----- failing map checks
+
+
+def _rare_dual_fault():
+    """The dual isomorphism of col_split over F7, off by one in the unit slot on x with a = 0 and ud3 != 0."""
+    dual = maps.dual_iso(ColSplitAlgebra(rings.PrimeField(7), 1))
+    B = dual.codomain
+
+    def fn(x):
+        y = dual.apply(x)
+        return B.add(y, B.one()) if x.a == 0 and x.ud[2] != 0 else y
+
+    return maps.AlgebraMap("planted", dual.domain, B, fn)
+
+
+def _unchecked_diagonal():
+    """A diagonal map of w_split over F7 that breaks det(phi) lam' = lam (no unit to check)."""
+    phi = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    return maps.diagonal_iso(WSplitAlgebra(rings.PrimeField(7), 1), phi, 1, check=False)
+
+
+def _not_derivation(mode):
+    K, gram = _kummer(rings.PrimeField(7))
+    d = mat_identity(K)
+    sampler = checks.Sampler(seed=11, count=20, mode=mode)
+    return [maps.is_derivation(d, CayleyAlgebra(HermitianSpace(K, gram, K.one)), sampler)]
+
+
+# ----- planted faults in the families compared by the construction checks
+
+
+def _planted(cls, name, wrong, fix):
+    """Patch ``cls.name`` so that its result on inputs where ``wrong`` holds is ``fix(self, result)``."""
+    real = getattr(cls, name)
+
+    def method(self, *args):
+        out = real(self, *args)
+        return fix(self, out) if wrong(*args) else out
+
+    return mock.patch.object(cls, name, method)
+
+
+def cay_zorn(product=None, norm=None):
+    """cay_zorn_check over F7 with planted Zorn faults.
+
+    ``product`` = (i, j) makes the Zorn product of u-slot i by ud-slot j gain
+    1 in ap; ``norm`` = i makes the Zorn norm of anything with u-slot i gain
+    1.  The Cayley basis maps to 1, ap, u1, u2, u3, ud1, ud2, ud3 in order.
+    """
+    with contextlib.ExitStack() as patches:
+        if product is not None:
+            i, j = product
+            wrong = lambda x, y: x.u[i] != 0 and y.ud[j] != 0  # noqa: E731
+            patches.enter_context(_planted(ZornAlgebra, "mul", wrong, lambda A, z: replace(z, ap=A.ring.add(z.ap, 1))))
+        if norm is not None:
+            patches.enter_context(_planted(ZornAlgebra, "norm", lambda x: x.u[norm] != 0, lambda A, n: A.ring.add(n, 1)))
+        return [checks.cay_zorn_check(rings.PrimeField(7))]
+
+
+def cross_construction(corrupt_gram=False, rare_w_fault=False):
+    """cross_construction_check over F7 with lam 3; ``rare_w_fault`` negates some w_split products."""
+    with contextlib.ExitStack() as patches:
+        if rare_w_fault:
+            wrong = lambda x, y: x.u[0] == 3  # noqa: E731
+            patches.enter_context(_planted(WSplitAlgebra, "mul", wrong, lambda A, z: A.neg(z)))
+        sampler = checks.Sampler(seed=13, count=20)
+        return [checks.cross_construction_check(rings.PrimeField(7), 3, sampler, corrupt_gram)]
+
+
+Q = rings.RationalField()
+ZORN_F7 = ZornAlgebra(rings.PrimeField(7), 1)
+SEEDED_MAP = checks.Sampler(seed=11, count=20)
+EXHAUSTIVE = checks.Sampler(mode="exhaustive")
+
+# name -> reports computed in-process
+IN_PROCESS = {
+    "control:norm-composition/col_split-seeded": lambda: control_norm_composition("seeded"),
+    "control:norm-composition/col_split-exhaustive": lambda: control_norm_composition("exhaustive"),
+    "herm-cross:alpha-doubled/split-F7": lambda: herm_cross(_alpha_doubled()),
+    "herm-cross:h-swapped/kummer-F7": lambda: herm_cross(_SwappedH(*_kummer(rings.PrimeField(7)), (1, 0))),
+    "herm-cross:perturbed-cross/kummer-Q": lambda: herm_cross(_PerturbedCross(*_kummer(Q), (Q.one, Q.zero))),
+    "herm-cross:rare-cross/split-F7": lambda: herm_cross(_RareCross(*_split_f7(), (1, 1))),
+    "herm-cross:rare-cross/kummer-F7": lambda: herm_cross(_RareCross(*_kummer(rings.PrimeField(7)), (1, 0))),
+    "homomorphism:planted/seeded": lambda: [maps.is_homomorphism(_rare_dual_fault(), SEEDED_MAP)],
+    "homomorphism:planted/exhaustive": lambda: [maps.is_homomorphism(_rare_dual_fault(), EXHAUSTIVE)],
+    "homomorphism:unchecked-diagonal/seeded": lambda: [maps.is_homomorphism(_unchecked_diagonal(), SEEDED_MAP)],
+    "homomorphism:unchecked-diagonal/exhaustive": lambda: [maps.is_homomorphism(_unchecked_diagonal(), EXHAUSTIVE)],
+    "homomorphism:zero-map/unit": lambda: [
+        maps.is_homomorphism(maps.custom_map(ZORN_F7, ZORN_F7, [[0] * 8 for _ in range(8)]), SEEDED_MAP)
+    ],
+    "derivation:identity/cay_hermitian-seeded": lambda: _not_derivation("seeded"),
+    "derivation:identity/cay_hermitian-exhaustive": lambda: _not_derivation("exhaustive"),
+    "cross-construction:corrupt-gram": lambda: cross_construction(corrupt_gram=True),
+    "cross-construction:rare-w_split-fault": lambda: cross_construction(rare_w_fault=True),
+    "cay-zorn:product-fault": lambda: cay_zorn(product=(1, 0)),
+    "cay-zorn:norm-fault": lambda: cay_zorn(norm=0),
+    # both faults on u2: the product with ud3, x's last pair, is reported before its norm
+    "cay-zorn:product-and-norm-fault": lambda: cay_zorn(product=(1, 2), norm=1),
+}
 
 
 def write_files(directory):
@@ -162,8 +318,9 @@ def write_files(directory):
 
 def run_case(name, directory):
     """(exit code, stdout) of one case."""
-    if name in CONTROLS:
-        return control_norm_composition(CONTROLS[name])
+    if name in IN_PROCESS:
+        reports = IN_PROCESS[name]()
+        return int(not all(r.passed for r in reports)), "".join(checks.report_json_line(r) + "\n" for r in reports)
     argv = [os.path.join(directory, a) if a.endswith(".json") else a for a in CASES[name]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -183,7 +340,7 @@ def files(tmp_path_factory):
     return str(directory)
 
 
-@pytest.mark.parametrize("name", list(CASES) + list(CONTROLS))
+@pytest.mark.parametrize("name", list(CASES) + list(IN_PROCESS))
 def test_golden_output(name, files):
     want = load_golden()[name]
     code, out = run_case(name, files)
@@ -194,7 +351,7 @@ def test_golden_output(name, files):
 def record():
     with tempfile.TemporaryDirectory() as directory:
         write_files(directory)
-        golden = {name: dict(zip(("exit", "stdout"), run_case(name, directory))) for name in list(CASES) + list(CONTROLS)}
+        golden = {name: dict(zip(("exit", "stdout"), run_case(name, directory))) for name in list(CASES) + list(IN_PROCESS)}
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
