@@ -46,7 +46,19 @@ from .trivec import HermitianSpace
 
 __all__ = ["main", "build_algebra", "load_config"]
 
+_SPLIT_KINDS = {"col_split", "zorn", "w_split"}
 _HERM_KINDS = {"cay_hermitian", "col_hermitian", "w_hermitian"}
+
+# map kind -> the construction kinds it applies to, as checks.APPLICABLE gates suites
+MAP_FAMILIES = {
+    "dual": {"col_split"},
+    "cube-root": _SPLIT_KINDS,
+    "diagonal": _SPLIT_KINDS,
+    "custom": set(checks.APPLICABLE),
+    "derivation": _HERM_KINDS,
+    "G-phi": _HERM_KINDS,
+    "H-phi": _HERM_KINDS,
+}
 
 # build prints rank^2 products and graded-info's radical analysis grows like
 # rank^3; at rank 125 they take about 1 s and 8 s
@@ -81,7 +93,7 @@ def build_algebra(config: dict):
     kind = cons["kind"]
     if not isinstance(kind, str):
         raise BadSpec(f"the construction kind must be a string, got {kind!r}")
-    if kind in ("col_split", "zorn", "w_split"):
+    if kind in _SPLIT_KINDS:
         lam = ring.parse(str(cons.get("lam", "1")))
         cls = {"col_split": ColSplitAlgebra, "zorn": ZornAlgebra, "w_split": WSplitAlgebra}[kind]
         return cls(ring, lam)
@@ -185,9 +197,11 @@ def cmd_map_check(config: dict, args) -> int:
     if not isinstance(mdesc, dict):
         raise BadSpec("the map description must be a JSON object")
     kind = mdesc["kind"]
+    if not isinstance(kind, str) or kind not in MAP_FAMILIES:
+        raise SuiteNotApplicable(f"unknown map kind {kind!r}")
+    if A.family not in MAP_FAMILIES[kind]:
+        raise SuiteNotApplicable(f"{kind} maps do not apply to {A.family}")
     if kind == "derivation":
-        if not hasattr(A, "space"):
-            raise SuiteNotApplicable("derivation maps need a hermitian construction")
         d = _matrix(mdesc["matrix"], 3, 3, A.S.from_json)
         report = maps.is_derivation(d, A, sampler)
     else:
@@ -202,9 +216,7 @@ def cmd_map_check(config: dict, args) -> int:
         elif kind == "custom":
             table = _matrix(mdesc["table"], A.rank, A.rank, A.ring.parse)
             m = maps.custom_map(A, A, table)
-        elif kind in ("G-phi", "H-phi"):
-            if not hasattr(A, "space"):
-                raise SuiteNotApplicable(f"{kind} maps need a hermitian construction")
+        else:  # G-phi, H-phi
             space = A.space
             phi = _matrix(mdesc["matrix"], 3, 3, A.S.from_json)
             target_space = space
@@ -219,8 +231,6 @@ def cmd_map_check(config: dict, args) -> int:
                 target_space = HermitianSpace(S, gram, alpha)
             target = "colour" if kind == "G-phi" else "cayley"
             m = maps.lift_isometry(space, target_space, phi, target)
-        else:
-            raise SuiteNotApplicable(f"unknown map kind {kind!r}")
         report = maps.is_homomorphism(m, sampler)
     if args.format == "text":
         state = "PASS" if report.passed else "FAIL"

@@ -15,11 +15,12 @@ treat failures as data (a report with a counterexample), never as errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import product
 from operator import attrgetter
 from typing import Callable
 
 from .algebras import CayleyAlgebra, ColHermAlgebra, ColSplitAlgebra, WHermAlgebra
-from .checks import CheckReport, Sampler
+from .checks import CheckReport, Sampler, draws, first_failure, pair_json
 from .errors import (
     MorphismConditionFailed,
     NotCubeRoot,
@@ -243,18 +244,10 @@ def in_lie_unitary(P: HermitianSpace, f, special: bool = False) -> bool:
     """Membership in u(P,h): h(f u, v) + h(u, f v) = 0 on the basis;
     su(P,h) additionally requires trace_S(f) = 0."""
     S = P.S
-    basis = P.basis()
-    for ei in basis:
-        fei = mat_vec(S, f, ei)
-        for ej in basis:
-            fej = mat_vec(S, f, ej)
-            if S.add(P.h(fei, ej), P.h(ei, fej)) != S.zero:
-                return False
-    if special:
-        tr = S.add(S.add(f[0][0], f[1][1]), f[2][2])
-        if tr != S.zero:
-            return False
-    return True
+    images = [(e, mat_vec(S, f, e)) for e in P.basis()]
+    if any(S.add(P.h(fei, ej), P.h(ei, fej)) != S.zero for (ei, fei), (ej, fej) in product(images, repeat=2)):
+        return False
+    return not special or S.add(S.add(f[0][0], f[1][1]), f[2][2]) == S.zero
 
 
 # ------------------------------------------------------------- checkers
@@ -265,50 +258,39 @@ def is_homomorphism(m: AlgebraMap, sampler: Sampler) -> CheckReport:
 
     Seeded mode draws element pairs plus a scalar for the linearity probe;
     exhaustive mode checks every ordered pair of basis products (which pins
-    a linear map completely).
+    a linear map completely).  ``samples`` counts the unit check, when both
+    algebras are unital, as one.
     """
     A, B = m.domain, m.codomain
     name = f"homomorphism:{m.kind}"
-    checked = 0
+    done = 0
     if getattr(A, "unital", False) and getattr(B, "unital", False):
-        checked += 1
+        done = 1
         if m.apply(A.one()) != B.one():
-            return CheckReport(name, checked, False, {"part": "unit"})
+            return CheckReport(name, done, False, {"part": "unit"})
+
+    def multiplicative(x, y):
+        return m.apply(A.mul(x, y)) == B.mul(m.apply(x), m.apply(y))
+
     if sampler.mode == "exhaustive":
-        basis = A.basis()
-        for x in basis:
-            for y in basis:
-                checked += 1
-                if m.apply(A.mul(x, y)) != B.mul(m.apply(x), m.apply(y)):
-                    return CheckReport(
-                        name,
-                        checked,
-                        False,
-                        {"x": A.element_to_json(x), "y": A.element_to_json(y)},
-                    )
-        return CheckReport(name, checked, True, None)
-    rng = sampler.rng()
-    for i in range(sampler.count):
-        x, y = A.sample(rng), A.sample(rng)
-        r = A.ring.sample(rng)
-        checked += 1
-        ok = (
+        pairs = product(A.basis(), repeat=2)
+        return first_failure(name, pairs, lambda p: multiplicative(*p), lambda i, p: pair_json(A, *p), done)
+
+    def homomorphic(case):
+        x, y, r = case
+        return (
             m.apply(A.add(x, y)) == B.add(m.apply(x), m.apply(y))
             and m.apply(A.smul(r, x)) == B.smul(r, m.apply(x))
-            and m.apply(A.mul(x, y)) == B.mul(m.apply(x), m.apply(y))
+            and multiplicative(x, y)
         )
-        if not ok:
-            return CheckReport(
-                name,
-                checked,
-                False,
-                {"index": i, "x": A.element_to_json(x), "y": A.element_to_json(y)},
-            )
-    return CheckReport(name, checked, True, None)
+
+    cases = draws(sampler, lambda rng: (A.sample(rng), A.sample(rng), A.ring.sample(rng)))
+    return first_failure(name, cases, homomorphic, lambda i, c: pair_json(A, c[0], c[1], index=i), done)
 
 
 def is_derivation(d, A, sampler: Sampler) -> CheckReport:
-    """Leibniz rule d(xy) = d(x) y + x d(y) against the family product.
+    """Leibniz rule d(xy) = d(x) y + x d(y) against the family product, on
+    every ordered basis pair (exhaustive mode) or on drawn pairs.
 
     ``d`` is a 3x3 matrix over S acting on the vector slot; it is extended by
     zero on the scalar slot of the rank-7 and rank-8 hermitian families.
@@ -317,25 +299,12 @@ def is_derivation(d, A, sampler: Sampler) -> CheckReport:
     d = _validate_s_matrix(S, d)
     fn = _transport(A, A.zero(), u=lambda x: mat_vec(S, d, x.u))
 
-    name = f"derivation:{A.family}"
-    checked = 0
+    def leibniz(pair):
+        x, y = pair
+        return fn(A.mul(x, y)) == A.add(A.mul(fn(x), y), A.mul(x, fn(y)))
+
     if sampler.mode == "exhaustive":
-        basis = A.basis()
-        pairs = [(x, y) for x in basis for y in basis]
+        pairs = product(A.basis(), repeat=2)
     else:
-        rng = sampler.rng()
-        pairs = []
-        for _ in range(sampler.count):
-            pairs.append((A.sample(rng), A.sample(rng)))
-    for i, (x, y) in enumerate(pairs):
-        checked += 1
-        lhs = fn(A.mul(x, y))
-        rhs = A.add(A.mul(fn(x), y), A.mul(x, fn(y)))
-        if lhs != rhs:
-            return CheckReport(
-                name,
-                checked,
-                False,
-                {"index": i, "x": A.element_to_json(x), "y": A.element_to_json(y)},
-            )
-    return CheckReport(name, checked, True, None)
+        pairs = draws(sampler, lambda rng: (A.sample(rng), A.sample(rng)))
+    return first_failure(f"derivation:{A.family}", pairs, leibniz, lambda i, p: pair_json(A, *p, index=i))

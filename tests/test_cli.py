@@ -305,6 +305,45 @@ def test_malformed_map_exit_two(tmp_path, name):
     assert json.loads(err)["error"] == error
 
 
+_F7 = {"kind": "Fp", "p": 7}
+_FAMILY_CONFIGS = {
+    "zorn": {"ring": _F7, "construction": {"kind": "zorn", "lam": "1"}},
+    "w_split": {"ring": _F7, "construction": {"kind": "w_split", "lam": "1"}},
+    "graded": {"ring": _F7, "construction": {"kind": "graded", "l": 1, "m": 1, "n": 1}},
+    **{
+        kind: {
+            "ring": _F7,
+            "construction": {"kind": kind, "etale": {"kind": "split"}, "gram": _S_IDENTITY, "alpha": _S_ONE},
+        }
+        for kind in ("cay_hermitian", "col_hermitian", "w_hermitian")
+    },
+}
+_SPLIT_MAPS = {
+    "dual": {"kind": "dual"},
+    "cube-root": {"kind": "cube-root", "mu": "2"},
+    "diagonal": {"kind": "diagonal", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "lam_prime": "1"},
+}
+_MISFITS = [
+    *[(kind, family) for kind in _SPLIT_MAPS for family in ("cay_hermitian", "col_hermitian", "w_hermitian", "graded")],
+    ("dual", "w_split"),
+    ("dual", "zorn"),
+]
+
+
+@pytest.mark.parametrize("kind, family", _MISFITS, ids=[f"{k}-{f}" for k, f in _MISFITS])
+def test_map_kind_not_for_family_exit_two(tmp_path, capsys, kind, family):
+    # a map kind on a family it does not fit is a configuration error, not a
+    # traceback and not a failed check
+    from colouralg import cli
+
+    cfg = write(tmp_path, "c.json", _FAMILY_CONFIGS[family])
+    rc = cli.main(["map-check", cfg, write(tmp_path, "m.json", _SPLIT_MAPS[kind]), "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SuiteNotApplicable"
+
+
 def test_mul_graded_worked_example(tmp_path):
     cfg = write(
         tmp_path,
