@@ -12,7 +12,9 @@ the CLI cannot request because the suite is gated off for that family; the
 ``herm-cross`` suite on spaces with a planted fault in alpha, ``h`` or the
 cross product; homomorphism, derivation, cross-construction and Cayley-Zorn
 checks that fail, some under a planted fault in a family's ``mul`` or
-``norm``.  Their stdout is the report JSON lines, their exit code 1 when a
+``norm``; seeded element identities over Z/n that fail under a fault that
+keeps the product bilinear (a wrong pairing weight, a doubled alpha, one
+wrong structure constant).  Their stdout is the report JSON lines, their exit code 1 when a
 report fails.
 
 Regenerate the goldens only when an output change is intended::
@@ -33,6 +35,7 @@ import pytest
 
 from colouralg import checks, cli, etale, maps, rings
 from colouralg.algebras import CayleyAlgebra, ColSplitAlgebra, WHermAlgebra, WSplitAlgebra, ZornAlgebra
+from colouralg.graded import GradedAlgebra, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
@@ -198,8 +201,7 @@ class _RareCross(HermitianSpace):
         return (c[0], c[1], self.S.add(c[2], self.S.one)) if v[0][0] == w[1][1] else c
 
 
-def _alpha_doubled():
-    S, gram = _split_f7()
+def _alpha_doubled(S, gram):
     P = HermitianSpace(S, gram, S.one)
     P.alpha = S.add(S.one, S.one)  # after validation: n_S(alpha) det(H) = 4
     return P
@@ -278,6 +280,35 @@ def cross_construction(corrupt_gram=False, rare_w_fault=False):
         return [checks.cross_construction_check(rings.PrimeField(7), 3, sampler, corrupt_gram)]
 
 
+# ----- seeded element identities over Z/n failing under a bilinear fault
+
+
+def _half_weight(half):
+    """col_split over Z/15 with the pairing weight ``half`` instead of inv(2) = 8."""
+    A = ColSplitAlgebra(rings.IntegersMod(15), 2)
+    A._half = half
+    return A
+
+
+def _graded_planted_constant(i, j, k):
+    """graded(1,1,1) over F7 with 1 added to coordinate k of e_i e_j."""
+    A = GradedAlgebra(GradedSpec(1, 1, 1), rings.PrimeField(7))
+    real = A.mul
+
+    def planted(x, y):
+        c = list(A.coords(real(x, y)))
+        c[k] = (c[k] + A.coords(x)[i] * A.coords(y)[j]) % 7
+        return A.from_coords(c)
+
+    A.mul = planted
+    return A
+
+
+def seeded(A, suites, seed):
+    sampler = checks.Sampler(seed=seed, count=20)
+    return [r for suite in suites for r in checks.run_suite(A, suite, sampler)]
+
+
 Q = rings.RationalField()
 ZORN_F7 = ZornAlgebra(rings.PrimeField(7), 1)
 SEEDED_MAP = checks.Sampler(seed=11, count=20)
@@ -287,7 +318,7 @@ EXHAUSTIVE = checks.Sampler(mode="exhaustive")
 IN_PROCESS = {
     "control:norm-composition/col_split-seeded": lambda: control_norm_composition("seeded"),
     "control:norm-composition/col_split-exhaustive": lambda: control_norm_composition("exhaustive"),
-    "herm-cross:alpha-doubled/split-F7": lambda: herm_cross(_alpha_doubled()),
+    "herm-cross:alpha-doubled/split-F7": lambda: herm_cross(_alpha_doubled(*_split_f7())),
     "herm-cross:h-swapped/kummer-F7": lambda: herm_cross(_SwappedH(*_kummer(rings.PrimeField(7)), (1, 0))),
     "herm-cross:perturbed-cross/kummer-Q": lambda: herm_cross(_PerturbedCross(*_kummer(Q), (Q.one, Q.zero))),
     "herm-cross:rare-cross/split-F7": lambda: herm_cross(_RareCross(*_split_f7(), (1, 1))),
@@ -301,6 +332,16 @@ IN_PROCESS = {
     ],
     "derivation:identity/cay_hermitian-seeded": lambda: _not_derivation("seeded"),
     "derivation:identity/cay_hermitian-exhaustive": lambda: _not_derivation("exhaustive"),
+    "seeded:half-weight-3/col_split-Z15": lambda: [
+        checks.run_identity(_half_weight(3), "quadratic-relation", checks.Sampler(seed=13, count=20))
+    ],
+    "seeded:norm-composition/w_split-F7": lambda: [
+        checks.run_identity(WSplitAlgebra(rings.PrimeField(7), 3), "norm-composition", checks.Sampler(seed=9, count=20))
+    ],
+    "seeded:alpha-doubled/cay_hermitian-kummer-F7": lambda: seeded(
+        CayleyAlgebra(_alpha_doubled(*_kummer(rings.PrimeField(7)))), ["jordan", "composition"], 11
+    ),
+    "seeded:planted-constant/graded-F7": lambda: seeded(_graded_planted_constant(2, 3, 4), ["all-applicable"], 11),
     "cross-construction:corrupt-gram": lambda: cross_construction(corrupt_gram=True),
     "cross-construction:rare-w_split-fault": lambda: cross_construction(rare_w_fault=True),
     "cay-zorn:product-fault": lambda: cay_zorn(product=(1, 0)),
