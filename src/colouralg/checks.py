@@ -17,7 +17,11 @@ only finite rings), gated by an element-count cap (default 3^8).  Every
 element identity of every family runs there through one numpy batch kernel
 built from the algebra's structure constants (``_BatchView``); the report at
 the lowest failing index comes from the scalar identity, so it is the one a
-scalar enumeration would give.  numpy is imported by the kernel only.
+scalar enumeration would give.  numpy is imported by the kernel only.  Seeded
+element identities over Z/n run on the same constants, one coordinate tuple
+at a time (``_CoordView``).  So over Z/n the seeded and exhaustive verdicts
+both hold for the bilinear algebra fixed by the basis products, and every
+report comes from the scalar identity.
 
 A two-argument identity whose sides have degree at most 1 in the last
 argument y (flexible, Jordan, anticommutative; the bound comes from running
@@ -36,8 +40,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import product
-from operator import eq
+from itertools import chain, product
+from operator import eq, mul
 
 from .algebras import (
     CayleyAlgebra,
@@ -51,7 +55,7 @@ from .algebras import (
 )
 from .errors import ExhaustiveTooLarge, SuiteNotApplicable
 from .etale import SplitTorus
-from .rings import Ring
+from .rings import IntegersMod, Ring
 from .trivec import HermitianSpace, det3, vec_add, vec_smul
 
 __all__ = [
@@ -359,13 +363,14 @@ def suites_for(A) -> list[str]:
 # ------------------------------------------------------------------ drivers
 
 
-def run_identity(A, identity: str, sampler: Sampler) -> CheckReport:
-    """Check one named identity.  Ungated: the caller chooses applicability."""
+def run_identity(A, identity: str, sampler: Sampler, view=None) -> CheckReport:
+    """Check one named identity.  Ungated: the caller chooses applicability.
+    ``view``: A's ``_CoordView`` shared by the caller, else built when needed."""
     t0 = time.perf_counter()
     if identity in CROSS_IDENTITIES:
         report = _run_cross_identity(A, identity, sampler)
     elif identity in ELEMENT_IDENTITIES:
-        report = _run_element_identity(A, identity, sampler)
+        report = _run_element_identity(A, identity, sampler, view or _coord_view(A, sampler))
     else:
         raise SuiteNotApplicable(f"unknown identity {identity!r}")
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -392,15 +397,22 @@ def _run_cross_identity(A, identity, sampler) -> CheckReport:
     return first_failure(identity, draws(sampler, draw), lambda xs: eq(*sides(P, *xs)), describe)
 
 
-def _run_element_identity(A, identity, sampler) -> CheckReport:
+def _run_element_identity(A, identity, sampler, view) -> CheckReport:
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     if sampler.mode == "exhaustive":
         _require_enumerable(A)
         return _colsplit_exhaustive_pairs(A, identity)
     cases = draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)])
-    return first_failure(
-        identity, cases, lambda xs: eq(*sides(A, *xs)), lambda index, xs: _failure(A, identity, index, xs)
-    )
+    if view is None:
+        holds = lambda xs: eq(*sides(A, *xs))  # noqa: E731
+    else:
+        holds = lambda xs: eq(*sides(view, *map(A.coords, xs)))  # noqa: E731
+    return first_failure(identity, cases, holds, lambda index, xs: _failure(A, identity, index, xs))
+
+
+def _coord_view(A, sampler):
+    """A's coordinate view when its seeded element identities run on one (over Z/n), else None."""
+    return _CoordView(A) if sampler.mode == "seeded" and isinstance(A.ring, IntegersMod) else None
 
 
 def _failure(A, identity, index, elems) -> dict:
@@ -418,12 +430,29 @@ def _failure(A, identity, index, elems) -> dict:
 # Over Z/n an algebra is fixed by its structure constants: the product
 # C[i, j, k] (coordinate k of e_i e_j), the norm as an upper-triangular
 # quadratic form and the trace as a linear form, with e_i the coordinate unit
-# vectors.  ``_BatchView`` holds them and evaluates the identities on whole
-# arrays of coordinate rows, reducing mod n after every step.  Every
+# vectors.  ``_constants`` computes them from r^2 products and r(r+1)/2 norms.
+# ``_BatchView`` evaluates the identities on whole arrays of coordinate rows,
+# reducing mod n after every step; ``_CoordView`` on one tuple.  Every
 # intermediate sum is at most r^2 (n-1)^3 for rank r, so the rows are int64
 # when that fits and Python integers (dtype object) when it does not.
 
 _BLOCK = 1024  # rows per arity-1 block (64 KB at rank 8); pairs run y over the whole table
+
+
+def _constants(A):
+    """C, the norm form, the trace form and the unit's coordinates (None without a unit), as plain ints."""
+    R, r = A.ring, A.rank
+    e = [A.from_coords([R.one if k == i else R.zero for k in range(r)]) for i in range(r)]
+    norms = [A.norm(x) for x in e]
+
+    def polar(i, j):
+        return R.sub(R.sub(A.norm(A.add(e[i], e[j])), norms[i]), norms[j])
+
+    form = [[0] * i + [norms[i]] + [polar(i, j) for j in range(i + 1, r)] for i in range(r)]
+    C = [[A.coords(A.mul(x, y)) for y in e] for x in e]
+    if not A.unital:
+        return C, form, None, None
+    return C, form, [A.trace(x) for x in e], A.coords(A.one())
 
 
 class _BatchView:
@@ -435,25 +464,19 @@ class _BatchView:
     def __init__(self, A):
         import numpy as np
 
-        R, r = A.ring, A.rank
-        self.np, self.n, self.rank = np, R.n, r
-        self.dtype = np.int64 if r * r * (R.n - 1) ** 3 < 2**63 else object
-        e = [A.from_coords([R.one if k == i else R.zero for k in range(r)]) for i in range(r)]
-        norms = [A.norm(x) for x in e]
-        form = [[0] * r for _ in range(r)]
-        for i in range(r):
-            form[i][i] = norms[i]
-            for j in range(i + 1, r):
-                form[i][j] = R.sub(R.sub(A.norm(A.add(e[i], e[j])), norms[i]), norms[j])
-        self.C = self.rows([[A.coords(A.mul(x, y)) for y in e] for x in e])
+        r, n = A.rank, A.ring.n
+        self.np, self.n, self.rank = np, n, r
+        self.dtype = np.int64 if r * r * (n - 1) ** 3 < 2**63 else object
+        C, form, trace, one = _constants(A)
+        self.C = self.rows(C)
         self.Q = self.rows(form)
         # L_x = x . C[i, :, :] and R_y = C[:, j, :] . y as single matrix products
         self.CL = self.C.reshape(r, r * r)
         self.CR = self.C.transpose(0, 2, 1).reshape(r * r, r)
-        self.T = self.rows([[A.trace(x)] for x in e]) if A.unital else None
-        self._one = self.rows([A.coords(A.one())]) if A.unital else None
+        self.T = self.rows([[t] for t in trace]) if A.unital else None
+        self._one = self.rows([one]) if A.unital else None
         self._zero = self.rows([[0] * r])
-        self.ring = _BatchRing(R.n)
+        self.ring = _BatchRing(n)
 
     def rows(self, values):
         return self.np.array(values, dtype=self.dtype)
@@ -492,8 +515,45 @@ class _BatchView:
         return self._zero
 
 
+class _CoordView:
+    """An algebra over Z/n on coordinate tuples of plain ints, each output coordinate reduced once.
+    Product row i lists (j, k, C[i][j][k]) for each nonzero structure constant."""
+
+    def __init__(self, A):
+        C, form, self._trace, self._one = _constants(A)
+        self.n, self.ring, self._zero = A.ring.n, _BatchRing(A.ring.n), (0,) * A.rank
+        self._C = [[(j, k, c) for j, p in enumerate(row) for k, c in enumerate(p) if c] for row in C]
+        self._Q = [(i, j, q) for i, row in enumerate(form) for j, q in enumerate(row) if q]
+
+    def mul(self, x, y):
+        out = [0] * len(x)
+        for xi, row in zip(x, self._C):
+            if xi:
+                for j, k, c in row:
+                    out[k] += xi * y[j] * c
+        n = self.n
+        return tuple([v % n for v in out])
+
+    def add(self, x, y):
+        return tuple([(a + b) % self.n for a, b in zip(x, y)])
+
+    def sub(self, x, y):
+        return tuple([(a - b) % self.n for a, b in zip(x, y)])
+
+    def smul(self, t, x):
+        return tuple([t * a % self.n for a in x])
+
+    def norm(self, x):
+        return sum([q * x[i] * x[j] for i, j, q in self._Q]) % self.n
+
+    def trace(self, x):
+        return sum(map(mul, self._trace, x)) % self.n
+
+    one, zero = _BatchView.one, _BatchView.zero
+
+
 class _BatchRing:
-    """Z/n on (rows, 1) scalar columns."""
+    """Z/n on (rows, 1) scalar columns, and on plain ints."""
 
     def __init__(self, n):
         self.n = n
@@ -592,15 +652,15 @@ def _colsplit_exhaustive_pairs(A, identity: str) -> CheckReport:
 def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
     """Run a named suite (or ``all-applicable``) against an algebra handle."""
     if suite == "all-applicable":
-        reports = []
-        for s in suites_for(A):
-            reports.extend(run_suite(A, s, sampler))
-        return reports
-    if suite not in SUITES:
+        names = [name for s in suites_for(A) for name in SUITES[s]]
+    elif suite not in SUITES:
         raise SuiteNotApplicable(f"unknown suite {suite!r}")
-    if suite not in APPLICABLE[A.family]:
+    elif suite not in APPLICABLE[A.family]:
         raise SuiteNotApplicable(f"suite {suite!r} does not apply to {A.family}")
-    return [run_identity(A, ident, sampler) for ident in SUITES[suite]]
+    else:
+        names = SUITES[suite]
+    view = _coord_view(A, sampler) if any(name in ELEMENT_IDENTITIES for name in names) else None
+    return [run_identity(A, name, sampler, view) for name in names]
 
 
 # --------------------------------------------------- cross-construction
@@ -655,7 +715,7 @@ def cross_construction_check(
 
     if iota(col.one()) != herm.one():
         return CheckReport("cross-construction", 1, False, {"part": "unit"}, 0)
-    pairs = [*product(col.basis(), repeat=2), *draws(sampler, lambda rng: (col.sample(rng), col.sample(rng)))]
+    pairs = chain(product(col.basis(), repeat=2), draws(sampler, lambda rng: (col.sample(rng), col.sample(rng))))
     report = first_failure(
         "cross-construction", pairs, col_embeds, lambda i, p: pair_json(col, *p, part="col-identification")
     )

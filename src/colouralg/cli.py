@@ -56,8 +56,8 @@ MAP_FAMILIES = {
     "diagonal": _SPLIT_KINDS,
     "custom": set(checks.APPLICABLE),
     "derivation": _HERM_KINDS,
-    "G-phi": _HERM_KINDS,
-    "H-phi": _HERM_KINDS,
+    "G-phi": {"col_hermitian"},
+    "H-phi": {"cay_hermitian"},
 }
 
 # build prints rank^2 products and graded-info's radical analysis grows like

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from operator import eq
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -311,6 +312,131 @@ def test_seeded_suites_do_not_import_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_seeded_suites_of_every_family_do_not_import_numpy():
+    # the coordinate view of seeded mode over Z/n is pure Python for all seven families
+    code = (
+        "import sys\n"
+        "from colouralg import algebras, checks, etale, rings\n"
+        "from colouralg.graded import GradedAlgebra, GradedSpec\n"
+        "from colouralg.trivec import HermitianSpace, mat_identity\n"
+        "F7, Z15 = rings.PrimeField(7), rings.IntegersMod(15)\n"
+        "K = etale.KummerExtension(F7, 3)\n"
+        "P = HermitianSpace(K, mat_identity(K), K.one)\n"
+        "handles = [algebras.ColSplitAlgebra(Z15, 2), algebras.ZornAlgebra(F7, 3), algebras.WSplitAlgebra(Z15, 1),\n"
+        "           algebras.CayleyAlgebra(P), algebras.ColHermAlgebra(P), algebras.WHermAlgebra(P),\n"
+        "           GradedAlgebra(GradedSpec(1, 1, 1), F7)]\n"
+        "for A in handles:\n"
+        "    reports = checks.run_suite(A, 'all-applicable', checks.Sampler(seed=5, count=10))\n"
+        "    assert reports and all(r.passed for r in reports), A.family\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _twisted_space(S):
+    """Gram [[1, a, 0], [conj a, 1 + n(a), 0], [0, 0, 1]] (det 1) with a = (1, 2), alpha 1."""
+    a = (S.ring.one, S.ring.of_int(2))
+    z, o = S.zero, S.one
+    gram = [[o, a, z], [S.conj(a), S.scalar(S.ring.add(S.ring.one, S.norm(a))), z], [z, z, o]]
+    return HermitianSpace(S, gram, o)
+
+
+def _view_handles(R):
+    spaces = [_twisted_space(etale.SplitTorus(R)), _twisted_space(etale.KummerExtension(R, R.of_int(2)))]
+    return [
+        algebras.ColSplitAlgebra(R, R.of_int(2)),
+        algebras.ZornAlgebra(R, R.of_int(2)),
+        algebras.WSplitAlgebra(R, R.one),
+        GradedAlgebra(GradedSpec(1, 1, 1), R),
+        *[cls(P) for P in spaces for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra)],
+    ]
+
+
+VIEW_HANDLES = [A for R in (F3, F7, rings.IntegersMod(15)) for A in _view_handles(R)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coordinate_view_agrees_with_scalar_multiplication(data):
+    # the seeded fast path against the scalar mul, norm, trace and unit
+    A = data.draw(st.sampled_from(VIEW_HANDLES), label="algebra")
+    row = st.tuples(*[st.integers(0, A.ring.n - 1)] * A.rank)
+    x, y = data.draw(row, label="x"), data.draw(row, label="y")
+    t = data.draw(st.integers(0, A.ring.n - 1), label="t")
+    V = checks._CoordView(A)
+    ex, ey = A.from_coords(x), A.from_coords(y)
+    assert V.mul(x, y) == A.coords(A.mul(ex, ey))
+    assert V.norm(x) == A.norm(ex)
+    assert V.add(x, y) == A.coords(A.add(ex, ey))
+    assert V.sub(x, y) == A.coords(A.sub(ex, ey))
+    assert V.smul(t, x) == A.coords(A.smul(t, ex))
+    if A.unital:
+        assert V.trace(x) == A.trace(ex)
+        assert V.one() == A.coords(A.one())
+
+
+def scalar_report(A, identity, sampler):
+    """The seeded verdict through the algebra's own product: the oracle of the coordinate view."""
+    arity, sides, _ = checks.ELEMENT_IDENTITIES[identity]
+    return checks.first_failure(
+        identity,
+        checks.draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)]),
+        lambda xs: eq(*sides(A, *xs)),
+        lambda index, xs: checks._failure(A, identity, index, xs),
+    )
+
+
+def _half_weight_3():
+    A = algebras.ColSplitAlgebra(rings.IntegersMod(15), 2)
+    A._half = 3  # inv(2) = 8 mod 15; 2*3 - 1 = 5 kills <u, ud> = 0 mod 3
+    return A
+
+
+def _planted_constant(A, i, j, k):
+    """A with 1 added to coordinate k of e_i e_j, a fault that keeps mul bilinear."""
+    A, n = copy.copy(A), A.ring.n
+    real = A.mul
+
+    def planted(x, y):
+        c = list(A.coords(real(x, y)))
+        c[k] = (c[k] + A.coords(x)[i] * A.coords(y)[j]) % n
+        return A.from_coords(c)
+
+    A.mul = planted
+    return A
+
+
+def _alpha_doubled(S):
+    P = _twisted_space(S)
+    P.alpha = S.add(S.one, S.one)
+    return P
+
+
+SEEDED_ORACLE_CASES = {
+    **{f"{A.family}-{A.ring.n}-{i}": A for i, A in enumerate(VIEW_HANDLES) if A.ring.n != 3},
+    "half-weight-3": _half_weight_3(),
+    "planted-constant-graded": _planted_constant(GradedAlgebra(GradedSpec(1, 1, 1), F7), 2, 3, 4),
+    "planted-constant-zorn": _planted_constant(algebras.ZornAlgebra(F7, 2), 2, 5, 0),
+    "alpha-doubled-cay-kummer": algebras.CayleyAlgebra(_alpha_doubled(etale.KummerExtension(F7, 3))),
+    "alpha-doubled-w-split": algebras.WHermAlgebra(_alpha_doubled(etale.SplitTorus(rings.IntegersMod(15)))),
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED_ORACLE_CASES))
+def test_seeded_reports_equal_scalar_oracle(name):
+    # every element identity, applicable or not (so most cases hold some
+    # failures), through run_suite's shared view and through run_identity
+    A = SEEDED_ORACLE_CASES[name]
+    sampler = Sampler(seed=17, count=25)
+    names = [i for i in checks.ELEMENT_IDENTITIES if A.unital or i != "quadratic-relation"]
+    want = {i: scalar_report(A, i, sampler).to_json() for i in names}
+    assert {i: checks.run_identity(A, i, sampler).to_json() for i in names} == want
+    suite = [r.to_json() for r in checks.run_suite(A, "all-applicable", sampler) if r.identity in want]
+    assert suite and suite == [want[r["identity"]] for r in suite]
+    assert not all(w["pass"] for w in want.values())
 
 
 def test_planted_scalar_fault_same_counterexample_seeded_and_exhaustive(monkeypatch):

@@ -323,10 +323,16 @@ _SPLIT_MAPS = {
     "cube-root": {"kind": "cube-root", "mu": "2"},
     "diagonal": {"kind": "diagonal", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "lam_prime": "1"},
 }
+# a lift applies to the one hermitian family it lifts to
+_LIFT_MAPS = {kind: {"kind": kind, "matrix": _S_IDENTITY} for kind in ("G-phi", "H-phi")}
 _MISFITS = [
     *[(kind, family) for kind in _SPLIT_MAPS for family in ("cay_hermitian", "col_hermitian", "w_hermitian", "graded")],
     ("dual", "w_split"),
     ("dual", "zorn"),
+    ("G-phi", "cay_hermitian"),
+    ("G-phi", "w_hermitian"),
+    ("H-phi", "col_hermitian"),
+    ("H-phi", "w_hermitian"),
 ]
 
 
@@ -337,7 +343,8 @@ def test_map_kind_not_for_family_exit_two(tmp_path, capsys, kind, family):
     from colouralg import cli
 
     cfg = write(tmp_path, "c.json", _FAMILY_CONFIGS[family])
-    rc = cli.main(["map-check", cfg, write(tmp_path, "m.json", _SPLIT_MAPS[kind]), "--samples", "5"])
+    mdesc = {**_SPLIT_MAPS, **_LIFT_MAPS}[kind]
+    rc = cli.main(["map-check", cfg, write(tmp_path, "m.json", mdesc), "--samples", "5"])
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
