@@ -14,25 +14,33 @@ through ``first_failure``: the cases in order, and the report of the first
 that fails, with ``samples`` counting the cases checked.
 Exhaustive mode enumerates the coordinate space of an algebra over Z/n (the
 only finite rings), gated by an element-count cap (default 3^8).  Every
-element identity of every family runs there through one numpy batch kernel
-built from the algebra's structure constants (``_BatchView``); the report at
-the lowest failing index comes from the scalar identity, so it is the one a
-scalar enumeration would give.  numpy is imported by the kernel only.  Seeded
-element identities over Z/n run on the same constants, one coordinate tuple
-at a time (``_CoordView``).  So over Z/n the seeded and exhaustive verdicts
+element identity of every family runs there on the algebra's structure
+constants: one coordinate tuple at a time (``_CoordView``) on a small grid,
+and through one numpy batch kernel (``_BatchView``) when a failure must be
+located; the report at the lowest failing index comes from the scalar
+identity, so it is the one a scalar enumeration would give.  numpy is
+imported by the kernel only.  Seeded element identities over Z/n run on
+``_CoordView`` too.  So over Z/n the seeded and exhaustive verdicts
 both hold for the bilinear algebra fixed by the basis products, and every
 report comes from the scalar identity.
 
-A two-argument identity whose sides have degree at most 1 in the last
-argument y (flexible, Jordan, anticommutative; the bound comes from running
-the identity on ``_Degree``) is, for each fixed x, an affine map of y's
-coordinates over Z/n, and an affine map vanishes on all of (Z/n)^r exactly
-when it vanishes on 0, e_1, ..., e_r.  So for each x the kernel evaluates
-those r + 1 probe rows only, and runs the whole y table just for the first x
-whose probes disagree, where it finds the lowest failing y.  The
-counterexample and its index are those of the full enumeration, and
-``samples`` counts the inputs the verdict covers: every pair on a pass, the
-pairs up to the failing one on a fail.
+Every checked law is a polynomial in the coordinates of its arguments over
+Z/n, of degree at most d in each argument (the bound comes from running the
+identity on ``_Degree``).  With q the least prime factor of n, the grid
+L(d) = {a in N^r : |a| <= d, every a_i <= min(d, q - 1)} of coordinate rows
+settles such a law when n is prime (reduced with x^p = x the monomials keep
+their degree, and L(d) is unisolvent for them) or when d < q (every node
+difference 1..d is a unit): a polynomial of degree at most d vanishing on
+L(d) vanishes on all of (Z/n)^r, by Newton interpolation on lower sets
+(Dyn and Floater, "Multivariate polynomial interpolation on lower sets",
+J. Approx. Theory 177, 2014), one argument after the other.  So an
+exhaustive identity first runs on the product of its arguments' grids, in
+pure Python on ``_CoordView``; if every point agrees it passes.  Otherwise
+(or with no grid) the numpy kernel searches for the lowest failing input:
+for each x it evaluates the grid of y only, and runs the whole y table just
+for the first x whose grid disagrees.  The counterexample and its index are
+those of the full enumeration, and ``samples`` counts the inputs the verdict
+covers: every input on a pass, the inputs up to the failing one on a fail.
 """
 
 from __future__ import annotations
@@ -436,7 +444,7 @@ def _failure(A, identity, index, elems) -> dict:
 # intermediate sum is at most r^2 (n-1)^3 for rank r, so the rows are int64
 # when that fits and Python integers (dtype object) when it does not.
 
-_BLOCK = 1024  # rows per arity-1 block (64 KB at rank 8); pairs run y over the whole table
+_BLOCK = 1024  # rows per arity-1 block (64 KB of int64 at rank 8); pairs run the whole y table at one x only
 
 
 def _constants(A):
@@ -461,13 +469,13 @@ class _BatchView:
     Scalars are (rows, 1) columns, so they broadcast against elements.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, constants=None):
         import numpy as np
 
         r, n = A.rank, A.ring.n
         self.np, self.n, self.rank = np, n, r
         self.dtype = np.int64 if r * r * (n - 1) ** 3 < 2**63 else object
-        C, form, trace, one = _constants(A)
+        C, form, trace, one = constants or _constants(A)
         self.C = self.rows(C)
         self.Q = self.rows(form)
         # L_x = x . C[i, :, :] and R_y = C[:, j, :] . y as single matrix products
@@ -519,8 +527,8 @@ class _CoordView:
     """An algebra over Z/n on coordinate tuples of plain ints, each output coordinate reduced once.
     Product row i lists (j, k, C[i][j][k]) for each nonzero structure constant."""
 
-    def __init__(self, A):
-        C, form, self._trace, self._one = _constants(A)
+    def __init__(self, A, constants=None):
+        C, form, self._trace, self._one = constants or _constants(A)
         self.n, self.ring, self._zero = A.ring.n, _BatchRing(A.ring.n), (0,) * A.rank
         self._C = [[(j, k, c) for j, p in enumerate(row) for k, c in enumerate(p) if c] for row in C]
         self._Q = [(i, j, q) for i, row in enumerate(form) for j, q in enumerate(row) if q]
@@ -579,11 +587,11 @@ def colsplit_mul_batch(B: _BatchView, X, Y):
 
 
 class _Degree:
-    """Upper bounds on degrees in the last argument, through the ``sides`` protocol.
+    """Upper bounds on degrees in one argument, through the ``sides`` protocol.
 
     Each value bounds the degree of a coordinate polynomial of an element or
-    scalar in y's coordinates; the other arguments and the constants have
-    degree 0.
+    scalar in that argument's coordinates; the other arguments and the
+    constants have degree 0.
     """
 
     def __init__(self):
@@ -616,22 +624,38 @@ class _Degree:
         return 0
 
 
-def _y_degree(sides) -> int:
-    """An upper bound on the degree of a two-argument identity in its last argument."""
-    return max(sides(_Degree(), 0, 1))
+def _degrees(sides, arity) -> list[int]:
+    """Upper bounds on the degree of an identity in each of its arguments."""
+    return [max(sides(_Degree(), *[int(k == m) for k in range(arity)])) for m in range(arity)]
+
+
+def _grid(n, r, d):
+    """L(d) over Z/n as coordinate rows, or None where it does not settle degree d (module docstring)."""
+    q = next(p for p in range(2, n + 1) if n % p == 0)
+    if q <= d and q < n:
+        return None
+    top, rows = min(d, q - 1), [()]
+    for _ in range(r):
+        rows = [a + (c,) for a in rows for c in range(min(top, d - sum(a)) + 1)]
+    return rows
 
 
 def _colsplit_exhaustive_pairs(A, identity: str) -> CheckReport:
     """Exhaustive driver for every family and arity; perfbench's tracer counts kernel runs by this name."""
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
-    B = _BatchView(A)
+    n, r = A.ring.n, A.rank
+    constants = _constants(A)
+    grids = [_grid(n, r, d) for d in _degrees(sides, arity)]
+    if None not in grids:
+        V = _CoordView(A, constants)
+        if all(eq(*sides(V, *xs)) for xs in product(*grids)):
+            return CheckReport(identity, n ** (arity * r), True, None)
+    B = _BatchView(A, constants)
     table = B.table()
     size = len(table)
     block = _BLOCK if arity == 1 else size
-    probes = None
-    if arity == 2 and _y_degree(sides) <= 1:
-        # affine in y: the zero row and the unit rows settle every y (module docstring)
-        probes = B.np.eye(B.rank + 1, B.rank, -1, dtype=B.dtype)
+    # for each x the grid of y settles every y (module docstring)
+    probes = B.rows(grids[1]) if arity == 2 and grids[1] is not None else None
     for head, xs in enumerate(product(range(size), repeat=arity - 1)):
         fixed = [table[i : i + 1] for i in xs]
         if probes is not None:
@@ -640,9 +664,9 @@ def _colsplit_exhaustive_pairs(A, identity: str) -> CheckReport:
                 continue
         for start in range(0, size, block):
             lhs, rhs = sides(B, *fixed, table[start : start + block])
-            eq = lhs == rhs
-            if not eq.all():
-                j = start + int(eq.all(-1).argmin())
+            agree = lhs == rhs
+            if not agree.all():
+                j = start + int(agree.all(-1).argmin())
                 elems = [A.from_coords([int(c) for c in table[i]]) for i in (*xs, j)]
                 index = head * size + j
                 return CheckReport(identity, index + 1, False, _failure(A, identity, index, elems))
@@ -659,6 +683,11 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
         raise SuiteNotApplicable(f"suite {suite!r} does not apply to {A.family}")
     else:
         names = SUITES[suite]
+    if sampler.mode == "exhaustive" and any(name in CROSS_IDENTITIES for name in names):
+        # fail before any work, with the error the first identity to run would raise
+        if names[0] in ELEMENT_IDENTITIES:
+            _require_enumerable(A)
+        raise ExhaustiveTooLarge("cross identities support seeded sampling only")
     view = _coord_view(A, sampler) if any(name in ELEMENT_IDENTITIES for name in names) else None
     return [run_identity(A, name, sampler, view) for name in names]
 

@@ -2,6 +2,8 @@ import copy
 import json
 import subprocess
 import sys
+from itertools import product
+from math import prod
 from operator import eq
 
 import pytest
@@ -190,9 +192,10 @@ def test_exhaustive_jordan_kernel_runs_all_pairs():
 
 def test_exhaustive_kernel_detects_planted_corruption(monkeypatch):
     # corrupt one row of the first x*v batch for x = e_0 (lexicographic index
-    # 3^5) on quartic, which is cubic in v and so runs the whole v table; the
-    # kernel must report exactly the pair (3^5, 28), and since the scalar
-    # identity holds there, only its index and inputs
+    # 3^5) on quartic; with no grid (the coordinate view would pass, it never
+    # sees the kernel) the per-x search runs the whole v table for every x and
+    # must report exactly the pair (3^5, 28), and since the scalar identity
+    # holds there, only its index and inputs
     A = algebras.WSplitAlgebra(F3, 1)
     i, j = 3**5, 28
     x = [1, 0, 0, 0, 0, 0]
@@ -208,6 +211,7 @@ def test_exhaustive_kernel_detects_planted_corruption(monkeypatch):
         return out
 
     monkeypatch.setattr(checks, "colsplit_mul_batch", corrupted)
+    monkeypatch.setattr(checks, "_grid", lambda n, r, d: None)
     report = checks.run_identity(A, "quartic", Sampler(mode="exhaustive"))
     assert planted
     assert not report.passed
@@ -219,40 +223,96 @@ def test_exhaustive_kernel_detects_planted_corruption(monkeypatch):
     }
 
 
-def test_last_argument_degrees():
-    # the probe path is taken exactly for the identities of degree <= 1 in y
+def test_per_argument_degrees():
     degrees = {
-        name: checks._y_degree(sides)
-        for name, (arity, sides, _) in checks.ELEMENT_IDENTITIES.items()
-        if arity == 2
+        name: checks._degrees(sides, arity) for name, (arity, sides, _) in checks.ELEMENT_IDENTITIES.items()
     }
     assert degrees == {
-        "flexible": 1,
-        "jordan": 1,
-        "anticommutative": 1,
-        "norm-composition": 2,
-        "quartic": 3,
+        "flexible": [2, 1],
+        "jordan": [3, 1],
+        "quadratic-relation": [2],
+        "norm-composition": [2, 2],
+        "anticommutative": [1, 1],
+        "quartic": [1, 3],
+        "power-associativity-deg3": [3],
+        "power-associativity-deg4": [4],
     }
 
 
-AFFINE_HANDLES = [
+def _prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
+
+
+def _monomials_invertible(n, rows):
+    """Whether the matrix of the monomials x^a (a in rows) at the points x of rows has a unit determinant mod n."""
+    for p in _prime_factors(n):
+        M = [[prod(pow(c, e, p) for c, e in zip(x, a)) % p for a in rows] for x in rows]
+        for col in range(len(M)):
+            pivot = next((i for i in range(col, len(M)) if M[i][col]), None)
+            if pivot is None:
+                return False
+            M[col], M[pivot] = M[pivot], M[col]
+            inv = pow(M[col][col], -1, p)
+            for i in range(col + 1, len(M)):
+                f = M[i][col] * inv % p
+                M[i] = [(u - f * v) % p for u, v in zip(M[i], M[col])]
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([3, 5, 7, 9, 15]), r=st.integers(1, 4), d=st.integers(0, 5))
+@example(n=7, r=4, d=5)
+@example(n=3, r=4, d=5)
+@example(n=15, r=4, d=2)
+@example(n=9, r=2, d=3)
+def test_grid_is_unisolvent_or_absent(n, r, d):
+    # L(d) settles degree d over Z/n exactly when its monomial matrix is
+    # invertible; the helper declines composite n with d >= q
+    q = _prime_factors(n)[0]
+    rows = checks._grid(n, r, d)
+    if q < n and d >= q:
+        assert rows is None
+        return
+    top = min(d, q - 1)
+    assert rows == [a for a in product(range(top + 1), repeat=r) if sum(a) <= d]
+    assert _monomials_invertible(n, rows)
+
+
+# (algebra, identity): one per law; the grid pass and the per-x search
+# against the full table at every x
+GRID_CASES = [
     (algebras.ColSplitAlgebra(F3, 2), "flexible"),
     (algebras.ColSplitAlgebra(F3, 1), "jordan"),
     (algebras.WSplitAlgebra(F3, 1), "anticommutative"),
     (algebras.WSplitAlgebra(F3, 2), "anticommutative"),
+    (algebras.WSplitAlgebra(F3, 1), "norm-composition"),
+    (algebras.WSplitAlgebra(F3, 1), "quartic"),
+    (algebras.ColSplitAlgebra(F3, 1), "quadratic-relation"),
+    (algebras.ZornAlgebra(F3, 2), "quadratic-relation"),
+    (algebras.ColSplitAlgebra(F3, 2), "power-associativity-deg3"),
+    (algebras.ZornAlgebra(F3, 2), "power-associativity-deg4"),
 ]
+# examples only: the full table at every x up to a late failing one costs seconds
+ZORN_COMPOSITION = (algebras.ZornAlgebra(F3, 1), "norm-composition")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    case=st.sampled_from(AFFINE_HANDLES),
-    ijk=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    case=st.sampled_from(GRID_CASES),
+    ijk=st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
     delta=st.integers(1, 2),
 )
-@example(case=AFFINE_HANDLES[2], ijk=(0, 5, 0), delta=1)  # e_0 e_5 is seen by the last probe row only
+@example(case=GRID_CASES[2], ijk=(0, 5, 0), delta=1)  # e_0 e_5 is seen by the last probe row only
+# faults seen only at grid points of weight d >= 2, which the affine probes 0, e_1, ..., e_r miss
+@example(case=GRID_CASES[0], ijk=(0, 0, 1), delta=1)  # x = e_0 + e_3
+@example(case=GRID_CASES[5], ijk=(0, 0, 1), delta=1)  # v = e_0 + e_4
+@example(case=GRID_CASES[6], ijk=(0, 1, 0), delta=1)  # x = e_0 + e_1
+@example(case=GRID_CASES[9], ijk=(0, 0, 0), delta=1)
+@example(case=ZORN_COMPOSITION, ijk=(7, 0, 0), delta=1)  # y = e_0 + e_4
 def test_probe_path_report_equals_full_table_pass(case, ijk, delta):
     # one wrong structure constant C[i, j, k] (coordinate k of e_i e_j); the
-    # probe path must give the report of the pass over every (x, y) pair
+    # grid pass and the per-x search must give the report of the pass over
+    # every input, which runs with no grid
     A, identity = copy.copy(case[0]), case[1]
     r = A.rank
     assume(max(ijk) < r)
@@ -271,7 +331,7 @@ def test_probe_path_report_equals_full_table_pass(case, ijk, delta):
     A.mul = planted
     probed = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "_y_degree", lambda sides: 2)
+        mp.setattr(checks, "_grid", lambda n, r, d: None)
         full = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
     assert probed.to_json() == full.to_json()
 
@@ -334,6 +394,53 @@ def test_seeded_suites_of_every_family_do_not_import_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exhaustive_grid_passes_do_not_import_numpy():
+    # a pass settled on the degree grid runs on the coordinate view alone
+    code = (
+        "import json, sys\n"
+        "from colouralg import algebras, checks, rings\n"
+        "F3, ex = rings.PrimeField(3), checks.Sampler(mode='exhaustive')\n"
+        "col, zorn = algebras.ColSplitAlgebra(F3, 1), algebras.ZornAlgebra(F3, 1)\n"
+        "runs = [(col, 'flexible'), (zorn, 'quadratic'), (zorn, 'power-assoc'), (zorn, 'composition')]\n"
+        "reports = [r for A, suite in runs for r in checks.run_suite(A, suite, ex)]\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "print(json.dumps([r.to_json() for r in reports]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    # samples = 3^(arity * rank): rank 7 for col_split, 8 for zorn
+    assert [(r["identity"], r["samples"]) for r in reports] == [
+        ("flexible", 3**14),
+        ("quadratic-relation", 3**8),
+        ("power-associativity-deg3", 3**8),
+        ("power-associativity-deg4", 3**8),
+        ("norm-composition", 3**16),
+    ]
+    assert all(r["pass"] and r["counterexample"] is None for r in reports)
+
+
+def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkeypatch):
+    # the hermitian families' cross identities are seeded only, so an
+    # exhaustive all-applicable run must refuse before its element identities run
+    calls = []
+
+    def recorded(A, identity):
+        calls.append(identity)
+        return CheckReport(identity, 1, True, None)
+
+    monkeypatch.setattr(checks, "_colsplit_exhaustive_pairs", recorded)
+    S3, S5 = etale.SplitTorus(F3), etale.SplitTorus(F5)
+    cay = algebras.CayleyAlgebra(HermitianSpace(S3, mat_identity(S3), S3.one))
+    with pytest.raises(ExhaustiveTooLarge, match="^cross identities support seeded sampling only$"):
+        checks.run_suite(cay, "all-applicable", Sampler(mode="exhaustive"))
+    # an algebra past the cap keeps the error its first element identity gave
+    col = algebras.ColHermAlgebra(HermitianSpace(S5, mat_identity(S5), S5.one))
+    with pytest.raises(ExhaustiveTooLarge, match="exceed the cap"):
+        checks.run_suite(col, "all-applicable", Sampler(mode="exhaustive"))
+    assert calls == []
 
 
 def _twisted_space(S):
