@@ -13,13 +13,11 @@ multi-part law compares tuples), and every sampled or basis-pair verdict goes
 through ``first_failure``: the cases in order, and the report of the first
 that fails, with ``samples`` counting the cases checked.
 Exhaustive mode enumerates the coordinate space of an algebra over Z/n (the
-only finite rings), gated by an element-count cap (default 3^8).  Every
-element identity of every family runs there on the algebra's structure
-constants: one coordinate tuple at a time (``_CoordView``) on a small grid,
-and through one numpy batch kernel (``_BatchView``) when a failure must be
-located; the report at the lowest failing index comes from the scalar
-identity, so it is the one a scalar enumeration would give.  numpy is
-imported by the kernel only.  Seeded element identities over Z/n run on
+only finite rings), gated by a fixed element-count cap.  Every element
+identity of every family runs there on the algebra's structure constants,
+one coordinate tuple at a time (``_CoordView``); the report at the lowest
+failing index comes from the scalar identity, so it is the one a scalar
+enumeration would give.  Seeded element identities over Z/n run on
 ``_CoordView`` too.  So over Z/n the seeded and exhaustive verdicts
 both hold for the bilinear algebra fixed by the basis products, and every
 report comes from the scalar identity.
@@ -34,13 +32,17 @@ difference 1..d is a unit): a polynomial of degree at most d vanishing on
 L(d) vanishes on all of (Z/n)^r, by Newton interpolation on lower sets
 (Dyn and Floater, "Multivariate polynomial interpolation on lower sets",
 J. Approx. Theory 177, 2014), one argument after the other.  So an
-exhaustive identity first runs on the product of its arguments' grids, in
-pure Python on ``_CoordView``; if every point agrees it passes.  Otherwise
-(or with no grid) the numpy kernel searches for the lowest failing input:
-for each x it evaluates the grid of y only, and runs the whole y table just
-for the first x whose grid disagrees.  The counterexample and its index are
-those of the full enumeration, and ``samples`` counts the inputs the verdict
-covers: every input on a pass, the inputs up to the failing one on a fail.
+exhaustive identity first runs on the product of its arguments' grids; if
+every point agrees it passes.  Otherwise the lowest failing input is found
+by descent: its coordinates are fixed one at a time in enumeration order
+(x's coordinate 0 first, y last), each to the least c for which the law
+still disagrees somewhere on the grid of the coordinates left.  Fixing
+coordinates keeps each argument's degree at most d, so every step is settled
+by the same grid, and a search costs at most n * arity * rank grid passes.
+The fixed digits, read in base n, are the failing index; ``samples`` counts
+the inputs the verdict covers: every input on a pass, the inputs up to the
+failing one on a fail.  The cap admits only algebras over Z/3 (rank 6 to 8),
+where every grid exists.
 """
 
 from __future__ import annotations
@@ -203,9 +205,9 @@ def sample_stream(sampler: Sampler, shape):
 # An element identity is ``sides(A, *xs) -> (lhs, rhs)``, written against
 # ``mul``, ``add``, ``sub``, ``smul``, ``norm``, ``trace``, ``one``, ``zero``,
 # ``ring.mul`` and ``ring.neg`` only, so the same function runs on an algebra
-# handle (seeded mode, and every report) and on its ``_BatchView`` (the
-# exhaustive kernel).  ``describe(A, xs, lhs, rhs)`` gives the counterexample
-# fields of a failing input.  A cross-product identity is
+# handle (every report, and seeded mode off Z/n) and on its ``_CoordView``
+# (over Z/n, seeded and exhaustive).  ``describe(A, xs, lhs, rhs)`` gives the
+# counterexample fields of a failing input.  A cross-product identity is
 # ``sides(P, *inputs)`` on the ambient hermitian space, sampled only.
 
 
@@ -433,18 +435,13 @@ def _failure(A, identity, index, elems) -> dict:
     return bad
 
 
-# ------------------------------------------------------------ batch kernel
+# ------------------------------------------------------- structure constants
 #
 # Over Z/n an algebra is fixed by its structure constants: the product
 # C[i, j, k] (coordinate k of e_i e_j), the norm as an upper-triangular
 # quadratic form and the trace as a linear form, with e_i the coordinate unit
-# vectors.  ``_constants`` computes them from r^2 products and r(r+1)/2 norms.
-# ``_BatchView`` evaluates the identities on whole arrays of coordinate rows,
-# reducing mod n after every step; ``_CoordView`` on one tuple.  Every
-# intermediate sum is at most r^2 (n-1)^3 for rank r, so the rows are int64
-# when that fits and Python integers (dtype object) when it does not.
-
-_BLOCK = 1024  # rows per arity-1 block (64 KB of int64 at rank 8); pairs run the whole y table at one x only
+# vectors.  ``_constants`` computes them from r^2 products and r(r+1)/2 norms,
+# and ``_CoordView`` evaluates the identities on coordinate tuples with them.
 
 
 def _constants(A):
@@ -463,72 +460,12 @@ def _constants(A):
     return C, form, [A.trace(x) for x in e], A.coords(A.one())
 
 
-class _BatchView:
-    """An algebra over Z/n acting on (rows, rank) coordinate arrays.
-
-    Scalars are (rows, 1) columns, so they broadcast against elements.
-    """
-
-    def __init__(self, A, constants=None):
-        import numpy as np
-
-        r, n = A.rank, A.ring.n
-        self.np, self.n, self.rank = np, n, r
-        self.dtype = np.int64 if r * r * (n - 1) ** 3 < 2**63 else object
-        C, form, trace, one = constants or _constants(A)
-        self.C = self.rows(C)
-        self.Q = self.rows(form)
-        # L_x = x . C[i, :, :] and R_y = C[:, j, :] . y as single matrix products
-        self.CL = self.C.reshape(r, r * r)
-        self.CR = self.C.transpose(0, 2, 1).reshape(r * r, r)
-        self.T = self.rows([[t] for t in trace]) if A.unital else None
-        self._one = self.rows([one]) if A.unital else None
-        self._zero = self.rows([[0] * r])
-        self.ring = _BatchRing(n)
-
-    def rows(self, values):
-        return self.np.array(values, dtype=self.dtype)
-
-    def table(self):
-        """Every coordinate row, in ``enumerate_elements`` order (coordinate 0 most significant)."""
-        n, r = self.n, self.rank
-        idx = self.np.arange(n**r)
-        out = self.np.empty((n**r, r), dtype=self.dtype)
-        for k in range(r):
-            out[:, k] = idx // n ** (r - 1 - k) % n
-        return out
-
-    def mul(self, X, Y):
-        return colsplit_mul_batch(self, X, Y)
-
-    def add(self, X, Y):
-        return (X + Y) % self.n
-
-    def sub(self, X, Y):
-        return (X - Y) % self.n
-
-    def smul(self, t, X):
-        return t * X % self.n
-
-    def norm(self, X):
-        return (X @ self.Q % self.n * X).sum(-1, keepdims=True) % self.n
-
-    def trace(self, X):
-        return X @ self.T % self.n
-
-    def one(self):
-        return self._one
-
-    def zero(self):
-        return self._zero
-
-
 class _CoordView:
     """An algebra over Z/n on coordinate tuples of plain ints, each output coordinate reduced once.
     Product row i lists (j, k, C[i][j][k]) for each nonzero structure constant."""
 
-    def __init__(self, A, constants=None):
-        C, form, self._trace, self._one = constants or _constants(A)
+    def __init__(self, A):
+        C, form, self._trace, self._one = _constants(A)
         self.n, self.ring, self._zero = A.ring.n, _BatchRing(A.ring.n), (0,) * A.rank
         self._C = [[(j, k, c) for j, p in enumerate(row) for k, c in enumerate(p) if c] for row in C]
         self._Q = [(i, j, q) for i, row in enumerate(form) for j, q in enumerate(row) if q]
@@ -557,11 +494,15 @@ class _CoordView:
     def trace(self, x):
         return sum(map(mul, self._trace, x)) % self.n
 
-    one, zero = _BatchView.one, _BatchView.zero
+    def one(self):
+        return self._one
+
+    def zero(self):
+        return self._zero
 
 
 class _BatchRing:
-    """Z/n on (rows, 1) scalar columns, and on plain ints."""
+    """Z/n on plain ints; the tests' reference view runs it on arrays too."""
 
     def __init__(self, n):
         self.n = n
@@ -574,7 +515,11 @@ class _BatchRing:
 
 
 def colsplit_mul_batch(B: _BatchView, X, Y):
-    """Batch product X Y mod n for every family; perfbench's tracer times the kernel under this name."""
+    """The tests' reference product: X Y mod n on numpy coordinate arrays of their ``_BatchView``.
+
+    No code in colouralg calls it.  It stays here, under this name, because
+    perfbench's tracer times it as its kernel layer.
+    """
     n, r = B.n, B.rank
     if len(X) == 1:  # Y L_x
         return Y @ (X[0] @ B.CL % n).reshape(r, r) % n
@@ -641,36 +586,26 @@ def _grid(n, r, d):
 
 
 def _colsplit_exhaustive_pairs(A, identity: str) -> CheckReport:
-    """Exhaustive driver for every family and arity; perfbench's tracer counts kernel runs by this name."""
+    """Exhaustive driver for every family and arity: a grid pass, then a descent (module docstring).
+    perfbench's tracer counts its calls by this name."""
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     n, r = A.ring.n, A.rank
-    constants = _constants(A)
-    grids = [_grid(n, r, d) for d in _degrees(sides, arity)]
-    if None not in grids:
-        V = _CoordView(A, constants)
-        if all(eq(*sides(V, *xs)) for xs in product(*grids)):
-            return CheckReport(identity, n ** (arity * r), True, None)
-    B = _BatchView(A, constants)
-    table = B.table()
-    size = len(table)
-    block = _BLOCK if arity == 1 else size
-    # for each x the grid of y settles every y (module docstring)
-    probes = B.rows(grids[1]) if arity == 2 and grids[1] is not None else None
-    for head, xs in enumerate(product(range(size), repeat=arity - 1)):
-        fixed = [table[i : i + 1] for i in xs]
-        if probes is not None:
-            lhs, rhs = sides(B, *fixed, probes)
-            if (lhs == rhs).all():
-                continue
-        for start in range(0, size, block):
-            lhs, rhs = sides(B, *fixed, table[start : start + block])
-            agree = lhs == rhs
-            if not agree.all():
-                j = start + int(agree.all(-1).argmin())
-                elems = [A.from_coords([int(c) for c in table[i]]) for i in (*xs, j)]
-                index = head * size + j
-                return CheckReport(identity, index + 1, False, _failure(A, identity, index, elems))
-    return CheckReport(identity, size**arity, True, None)
+    V, degrees = _CoordView(A), _degrees(sides, arity)
+
+    def fails(prefix):
+        """Whether the law disagrees at some input whose leading coordinates are ``prefix``."""
+        heads = [prefix[m * r : (m + 1) * r] for m in range(arity)]
+        grids = [[h + t for t in _grid(n, r - len(h), d)] for h, d in zip(heads, degrees)]
+        return not all(eq(*sides(V, *xs)) for xs in product(*grids))
+
+    if not fails(()):
+        return CheckReport(identity, n ** (arity * r), True, None)
+    prefix, index = (), 0
+    for _ in range(arity * r):
+        c = next(c for c in range(n) if fails(prefix + (c,)))
+        prefix, index = prefix + (c,), index * n + c
+    elems = [A.from_coords(prefix[m * r : (m + 1) * r]) for m in range(arity)]
+    return CheckReport(identity, index + 1, False, _failure(A, identity, index, elems))
 
 
 def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:

@@ -192,8 +192,10 @@ def custom_map(domain, codomain, table) -> AlgebraMap:
     """An arbitrary R-linear map given by a rank x rank coordinate matrix.
 
     Column j of ``table`` holds the codomain coordinates of the image of the
-    j-th domain basis element.  No structure is assumed; feed the result to
-    ``is_homomorphism`` to find out what it preserves.
+    j-th domain coordinate unit vector.  On the hermitian families that is not
+    the j-th element of ``basis()``, which lists S components first.  No
+    structure is assumed; feed the result to ``is_homomorphism`` to find out
+    what it preserves.
     """
     R = domain.ring
     n, m = codomain.rank, domain.rank

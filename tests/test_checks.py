@@ -6,6 +6,7 @@ from itertools import product
 from math import prod
 from operator import eq
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -132,6 +133,85 @@ def _kummer_det1_space(ring):
     return HermitianSpace(K, [[o, a, z], [K.conj(a), K.scalar(2), z], [z, z, o]], o)
 
 
+class _BatchView:
+    """An algebra over Z/n acting on (rows, rank) numpy coordinate arrays: the
+    reference of the exhaustive descent, on the product ``checks.colsplit_mul_batch``.
+
+    Scalars are (rows, 1) columns, so they broadcast against elements.  Every
+    intermediate sum is at most r^2 (n-1)^3 for rank r, so the rows are int64
+    when that fits and Python integers (dtype object) when it does not.
+    """
+
+    def __init__(self, A):
+        r, n = A.rank, A.ring.n
+        self.n, self.rank = n, r
+        self.dtype = np.int64 if r * r * (n - 1) ** 3 < 2**63 else object
+        C, form, trace, one = checks._constants(A)
+        self.C = self.rows(C)
+        self.Q = self.rows(form)
+        # L_x = x . C[i, :, :] and R_y = C[:, j, :] . y as single matrix products
+        self.CL = self.C.reshape(r, r * r)
+        self.CR = self.C.transpose(0, 2, 1).reshape(r * r, r)
+        self.T = self.rows([[t] for t in trace]) if A.unital else None
+        self._one = self.rows([one]) if A.unital else None
+        self._zero = self.rows([[0] * r])
+        self.ring = checks._BatchRing(n)
+
+    def rows(self, values):
+        return np.array(values, dtype=self.dtype)
+
+    def table(self):
+        """Every coordinate row, in ``enumerate_elements`` order (coordinate 0 most significant)."""
+        n, r = self.n, self.rank
+        idx = np.arange(n**r)
+        out = np.empty((n**r, r), dtype=self.dtype)
+        for k in range(r):
+            out[:, k] = idx // n ** (r - 1 - k) % n
+        return out
+
+    def mul(self, X, Y):
+        return checks.colsplit_mul_batch(self, X, Y)
+
+    def add(self, X, Y):
+        return (X + Y) % self.n
+
+    def sub(self, X, Y):
+        return (X - Y) % self.n
+
+    def smul(self, t, X):
+        return t * X % self.n
+
+    def norm(self, X):
+        return (X @ self.Q % self.n * X).sum(-1, keepdims=True) % self.n
+
+    def trace(self, X):
+        return X @ self.T % self.n
+
+    def one(self):
+        return self._one
+
+    def zero(self):
+        return self._zero
+
+
+def full_table_report(A, identity):
+    """The exhaustive report from every input in enumeration order: the whole
+    table at once for arity 1, and the whole y table at each x for pairs."""
+    arity, sides, _ = checks.ELEMENT_IDENTITIES[identity]
+    B = _BatchView(A)
+    table = B.table()
+    size = len(table)
+    for head, xs in enumerate(product(range(size), repeat=arity - 1)):
+        lhs, rhs = sides(B, *[table[i : i + 1] for i in xs], table)
+        agree = lhs == rhs
+        if not agree.all():
+            j = int(agree.all(-1).argmin())
+            elems = [A.from_coords([int(c) for c in table[i]]) for i in (*xs, j)]
+            index = head * size + j
+            return CheckReport(identity, index + 1, False, checks._failure(A, identity, index, elems))
+    return CheckReport(identity, size**arity, True, None)
+
+
 F_BIG = rings.PrimeField(1048573)  # r^2 (p-1)^3 >= 2^63: the kernel runs on Python integers
 
 KERNEL_HANDLES = [
@@ -158,7 +238,7 @@ def test_batch_kernel_agrees_with_scalar_multiplication(data):
     k = data.draw(st.integers(1, 4), label="rows")
     xs = data.draw(st.lists(row, min_size=k, max_size=k), label="x")
     ys = data.draw(st.lists(row, min_size=k, max_size=k), label="y")
-    B = checks._BatchView(A)
+    B = _BatchView(A)
     assert (B.dtype is object) == (A.ring is F_BIG)
     X, Y = B.rows(xs), B.rows(ys)
     ex = [A.from_coords(c) for c in xs]
@@ -188,39 +268,6 @@ def test_exhaustive_jordan_kernel_runs_all_pairs():
     report = checks.run_identity(A, "jordan", Sampler(mode="exhaustive"))
     assert report.passed
     assert report.samples == 3**7 * 3**7
-
-
-def test_exhaustive_kernel_detects_planted_corruption(monkeypatch):
-    # corrupt one row of the first x*v batch for x = e_0 (lexicographic index
-    # 3^5) on quartic; with no grid (the coordinate view would pass, it never
-    # sees the kernel) the per-x search runs the whole v table for every x and
-    # must report exactly the pair (3^5, 28), and since the scalar identity
-    # holds there, only its index and inputs
-    A = algebras.WSplitAlgebra(F3, 1)
-    i, j = 3**5, 28
-    x = [1, 0, 0, 0, 0, 0]
-    real = checks.colsplit_mul_batch
-    planted = []
-
-    def corrupted(B, X, Y):
-        out = real(B, X, Y)
-        if not planted and len(X) == 1 and len(Y) == 3**6 and X[0].tolist() == x:
-            planted.append(True)
-            out = out.copy()
-            out[j, 2] = (out[j, 2] + 1) % 3
-        return out
-
-    monkeypatch.setattr(checks, "colsplit_mul_batch", corrupted)
-    monkeypatch.setattr(checks, "_grid", lambda n, r, d: None)
-    report = checks.run_identity(A, "quartic", Sampler(mode="exhaustive"))
-    assert planted
-    assert not report.passed
-    assert report.samples == i * 3**6 + j + 1
-    elems = list(A.enumerate_elements())
-    assert report.counterexample == {
-        "index": i * 3**6 + j,
-        "inputs": [A.element_to_json(elems[i]), A.element_to_json(elems[j])],
-    }
 
 
 def test_per_argument_degrees():
@@ -278,8 +325,14 @@ def test_grid_is_unisolvent_or_absent(n, r, d):
     assert _monomials_invertible(n, rows)
 
 
-# (algebra, identity): one per law; the grid pass and the per-x search
-# against the full table at every x
+def _split_f3_space():
+    S = etale.SplitTorus(F3)
+    return HermitianSpace(S, mat_identity(S), (1, 1))
+
+
+# (algebra, identity): one per law, and the families whose coordinates
+# interleave S components; the grid pass and the descent against the
+# full-table reference
 GRID_CASES = [
     (algebras.ColSplitAlgebra(F3, 2), "flexible"),
     (algebras.ColSplitAlgebra(F3, 1), "jordan"),
@@ -291,6 +344,10 @@ GRID_CASES = [
     (algebras.ZornAlgebra(F3, 2), "quadratic-relation"),
     (algebras.ColSplitAlgebra(F3, 2), "power-associativity-deg3"),
     (algebras.ZornAlgebra(F3, 2), "power-associativity-deg4"),
+    (algebras.ColHermAlgebra(_split_f3_space()), "flexible"),
+    (algebras.ColHermAlgebra(_split_f3_space()), "quadratic-relation"),
+    (algebras.WHermAlgebra(_split_f3_space()), "quartic"),
+    (GradedAlgebra(GradedSpec(1, 1, 1), F3), "power-associativity-deg4"),
 ]
 # examples only: the full table at every x up to a late failing one costs seconds
 ZORN_COMPOSITION = (algebras.ZornAlgebra(F3, 1), "norm-composition")
@@ -302,7 +359,7 @@ ZORN_COMPOSITION = (algebras.ZornAlgebra(F3, 1), "norm-composition")
     ijk=st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
     delta=st.integers(1, 2),
 )
-@example(case=GRID_CASES[2], ijk=(0, 5, 0), delta=1)  # e_0 e_5 is seen by the last probe row only
+@example(case=GRID_CASES[2], ijk=(0, 5, 0), delta=1)
 # faults seen only at grid points of weight d >= 2, which the affine probes 0, e_1, ..., e_r miss
 @example(case=GRID_CASES[0], ijk=(0, 0, 1), delta=1)  # x = e_0 + e_3
 @example(case=GRID_CASES[5], ijk=(0, 0, 1), delta=1)  # v = e_0 + e_4
@@ -311,8 +368,7 @@ ZORN_COMPOSITION = (algebras.ZornAlgebra(F3, 1), "norm-composition")
 @example(case=ZORN_COMPOSITION, ijk=(7, 0, 0), delta=1)  # y = e_0 + e_4
 def test_probe_path_report_equals_full_table_pass(case, ijk, delta):
     # one wrong structure constant C[i, j, k] (coordinate k of e_i e_j); the
-    # grid pass and the per-x search must give the report of the pass over
-    # every input, which runs with no grid
+    # grid pass and the descent must give the report of the full-table reference
     A, identity = copy.copy(case[0]), case[1]
     r = A.rank
     assume(max(ijk) < r)
@@ -330,10 +386,7 @@ def test_probe_path_report_equals_full_table_pass(case, ijk, delta):
 
     A.mul = planted
     probed = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "_grid", lambda n, r, d: None)
-        full = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
-    assert probed.to_json() == full.to_json()
+    assert probed.to_json() == full_table_report(A, identity).to_json()
 
 
 def test_quadratic_identity_runs_every_y():
@@ -352,7 +405,7 @@ def test_quadratic_identity_runs_every_y():
         if lhs != rhs
     )
     assert index // len(elems) == 28
-    B = checks._BatchView(A)
+    B = _BatchView(A)
     lhs, rhs = sides(B, B.table()[28:29], B.rows([[0] * 6] + [[int(c == m) for c in range(6)] for m in range(6)]))
     assert (lhs == rhs).all()
     assert not report.passed
@@ -361,7 +414,7 @@ def test_quadratic_identity_runs_every_y():
 
 
 def test_seeded_suites_do_not_import_numpy():
-    # numpy belongs to the exhaustive kernel only; seeded runs stay without it
+    # numpy is a test dependency only: colouralg never imports it
     code = (
         "import sys\n"
         "from colouralg import algebras, checks, rings\n"
@@ -420,6 +473,27 @@ def test_exhaustive_grid_passes_do_not_import_numpy():
         ("norm-composition", 3**16),
     ]
     assert all(r["pass"] and r["counterexample"] is None for r in reports)
+
+
+def test_exhaustive_failures_do_not_import_numpy():
+    # the descent locates a failure on the coordinate view, so colouralg runs
+    # with numpy blocked: the golden control and a planted half-weight fault
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from colouralg import algebras, checks, rings\n"
+        "ex = checks.Sampler(mode='exhaustive')\n"
+        "A, B = algebras.ColSplitAlgebra(rings.PrimeField(3), 1), algebras.ColSplitAlgebra(rings.PrimeField(3), 1)\n"
+        "B._half = 1\n"
+        "reports = [checks.run_identity(A, 'norm-composition', ex), checks.run_identity(B, 'quadratic-relation', ex)]\n"
+        "print(json.dumps([r.to_json() for r in reports]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    control, half = json.loads(proc.stdout)
+    assert not control["pass"] and control["samples"] == 2215 and control["counterexample"]["index"] == 2214
+    # x = u3 + ud3 (index 28) is the first input with <u, ud> != 0
+    assert not half["pass"] and half["samples"] == 29 and half["counterexample"]["index"] == 28
 
 
 def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkeypatch):

@@ -253,6 +253,22 @@ def test_custom_map_detects_non_homomorphism():
     assert not report.passed
 
 
+def test_custom_map_columns_are_coordinate_unit_images_on_col_hermitian():
+    # column j maps the j-th coordinate unit vector, which the hermitian
+    # families order apart from their basis: basis element p12 is coordinate 3
+    S = etale.SplitTorus(F7)
+    A = ColHermAlgebra(HermitianSpace(S, mat_identity(S), (1, 1)))
+    r = A.rank
+    table = [[(i * r + j) % 7 for j in range(r)] for i in range(r)]
+    m = maps.custom_map(A, A, table)
+    for j in range(r):
+        unit = A.from_coords([int(c == j) for c in range(r)])
+        assert A.coords(m.apply(unit)) == tuple(row[j] for row in table)
+    p12 = A.basis()[A.basis_labels().index("p12")]
+    assert A.coords(p12) == tuple(int(c == 3) for c in range(r))
+    assert A.coords(m.apply(p12)) != tuple(row[A.basis().index(p12)] for row in table)
+
+
 def test_custom_map_rejects_bad_shape():
     A = ColSplitAlgebra(F7, 1)
     with pytest.raises(NotSLinear):
