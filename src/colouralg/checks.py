@@ -410,8 +410,7 @@ def _run_cross_identity(A, identity, sampler) -> CheckReport:
 def _run_element_identity(A, identity, sampler, view) -> CheckReport:
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     if sampler.mode == "exhaustive":
-        _require_enumerable(A)
-        return _colsplit_exhaustive_pairs(A, identity)
+        return _colsplit_exhaustive_pairs(A, identity, view)
     cases = draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)])
     if view is None:
         holds = lambda xs: eq(*sides(A, *xs))  # noqa: E731
@@ -421,8 +420,12 @@ def _run_element_identity(A, identity, sampler, view) -> CheckReport:
 
 
 def _coord_view(A, sampler):
-    """A's coordinate view when its seeded element identities run on one (over Z/n), else None."""
-    return _CoordView(A) if sampler.mode == "seeded" and isinstance(A.ring, IntegersMod) else None
+    """A's coordinate view when its element identities run on one, else None: in exhaustive
+    mode once A is enumerable (built after that check), in seeded mode over Z/n."""
+    if sampler.mode == "exhaustive":
+        _require_enumerable(A)
+        return _CoordView(A)
+    return _CoordView(A) if isinstance(A.ring, IntegersMod) else None
 
 
 def _failure(A, identity, index, elems) -> dict:
@@ -514,7 +517,7 @@ class _BatchRing:
         return -a % self.n
 
 
-def colsplit_mul_batch(B: _BatchView, X, Y):
+def colsplit_mul_batch(B, X, Y):
     """The tests' reference product: X Y mod n on numpy coordinate arrays of their ``_BatchView``.
 
     No code in colouralg calls it.  It stays here, under this name, because
@@ -585,18 +588,19 @@ def _grid(n, r, d):
     return rows
 
 
-def _colsplit_exhaustive_pairs(A, identity: str) -> CheckReport:
+def _colsplit_exhaustive_pairs(A, identity: str, view) -> CheckReport:
     """Exhaustive driver for every family and arity: a grid pass, then a descent (module docstring).
+    ``view``: A's ``_CoordView`` from ``_coord_view``, shared by the suite.
     perfbench's tracer counts its calls by this name."""
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     n, r = A.ring.n, A.rank
-    V, degrees = _CoordView(A), _degrees(sides, arity)
+    degrees = _degrees(sides, arity)
 
     def fails(prefix):
         """Whether the law disagrees at some input whose leading coordinates are ``prefix``."""
         heads = [prefix[m * r : (m + 1) * r] for m in range(arity)]
         grids = [[h + t for t in _grid(n, r - len(h), d)] for h, d in zip(heads, degrees)]
-        return not all(eq(*sides(V, *xs)) for xs in product(*grids))
+        return not all(eq(*sides(view, *xs)) for xs in product(*grids))
 
     if not fails(()):
         return CheckReport(identity, n ** (arity * r), True, None)

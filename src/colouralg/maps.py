@@ -10,6 +10,19 @@ left multiplication, over R for the split families and over S for the
 hermitian ones.  ``AlgebraMap`` wraps an element-level function together with
 its domain and codomain handles; ``is_homomorphism`` / ``is_derivation``
 treat failures as data (a report with a counterexample), never as errors.
+
+Every map constructor here builds its map from a matrix, so the map is linear
+(``AlgebraMap.linear``), and every family product is bilinear.  The
+homomorphism and derivation laws are then bilinear in (x, y), so they hold
+on every pair exactly when they hold on every ordered pair of basis
+elements, over any commutative base ring.  Seeded checks of such maps
+(and every derivation check) settle on those basis pairs first: if all
+hold, the report is the pass the draws would give, and no draw is made.
+When a basis pair fails, the draws run and their verdict stands: the
+lowest failing draw, or a pass when every draw holds, exactly as a check on
+draws alone.  The settlement trusts the product code to be bilinear, so a
+``mul`` fault off the basis is left to the element-identity suites.  A
+hand-built ``AlgebraMap`` (``linear`` off) is checked on the draws alone.
 """
 
 from __future__ import annotations
@@ -64,6 +77,7 @@ class AlgebraMap:
     codomain: object
     fn: Callable
     data: dict = field(default_factory=dict)
+    linear: bool = False  # built from a matrix: seeded checks settle on basis pairs
 
     def apply(self, x):
         return self.fn(x)
@@ -103,7 +117,7 @@ def diagonal_iso(domain, phi, lam_prime, check: bool = True) -> AlgebraMap:
     phi_inv_t = mat_transpose(mat_inv(R, phi))
     codomain = type(domain)(R, lam_prime)
     fn = _transport(codomain, u=lambda x: mat_vec(R, phi, x.u), ud=lambda x: mat_vec(R, phi_inv_t, x.ud))
-    return AlgebraMap("diagonal", domain, codomain, fn, {"phi": phi, "lam_prime": lam_prime})
+    return AlgebraMap("diagonal", domain, codomain, fn, {"phi": phi, "lam_prime": lam_prime}, linear=True)
 
 
 def dual_iso(domain: ColSplitAlgebra) -> AlgebraMap:
@@ -111,7 +125,7 @@ def dual_iso(domain: ColSplitAlgebra) -> AlgebraMap:
     R = domain.ring
     codomain = ColSplitAlgebra(R, R.inv(domain.lam))
     fn = _transport(codomain, u=lambda x: vec_neg(R, x.ud), ud=lambda x: vec_neg(R, x.u))
-    return AlgebraMap("dual", domain, codomain, fn, {})
+    return AlgebraMap("dual", domain, codomain, fn, {}, linear=True)
 
 
 def cube_root_auto(domain, mu) -> AlgebraMap:
@@ -173,7 +187,7 @@ def lift_isometry(P: HermitianSpace, P2: HermitianSpace, phi, target: str) -> Al
     kind, cls = _LIFTS[target]
     codomain = cls(P2)
     fn = _transport(codomain, u=lambda x: mat_vec(S, phi, x.u))
-    return AlgebraMap(kind, cls(P), codomain, fn, {"phi": phi})
+    return AlgebraMap(kind, cls(P), codomain, fn, {"phi": phi}, linear=True)
 
 
 def vector_restriction(m: AlgebraMap) -> AlgebraMap:
@@ -185,7 +199,7 @@ def vector_restriction(m: AlgebraMap) -> AlgebraMap:
     S = P.S
     codomain = WHermAlgebra(P2)
     fn = _transport(codomain, u=lambda x: mat_vec(S, phi, x.u))
-    return AlgebraMap("w-phi", WHermAlgebra(P), codomain, fn, {"phi": phi})
+    return AlgebraMap("w-phi", WHermAlgebra(P), codomain, fn, {"phi": phi}, linear=True)
 
 
 def custom_map(domain, codomain, table) -> AlgebraMap:
@@ -212,7 +226,7 @@ def custom_map(domain, codomain, table) -> AlgebraMap:
             out[i] = acc
         return codomain.from_coords(out)
 
-    return AlgebraMap("custom", domain, codomain, fn, {"table": table})
+    return AlgebraMap("custom", domain, codomain, fn, {"table": table}, linear=True)
 
 
 def lambda_map(P: HermitianSpace, u, v):
@@ -260,7 +274,12 @@ def is_homomorphism(m: AlgebraMap, sampler: Sampler) -> CheckReport:
 
     Seeded mode draws element pairs plus a scalar for the linearity probe;
     exhaustive mode checks every ordered pair of basis products (which pins
-    a linear map completely).  ``samples`` counts the unit check, when both
+    a linear map completely).  A seeded check of a map built from a matrix
+    (``m.linear``) runs those basis pairs first and, when all hold, reports
+    the pass of the draws without drawing: the map is linear and the products
+    bilinear, so multiplicativity on the basis pairs gives it on every pair
+    (module docstring).  When a basis pair fails, the draws' verdict
+    stands, a pass included.  ``samples`` counts the unit check, when both
     algebras are unital, as one.
     """
     A, B = m.domain, m.codomain
@@ -274,9 +293,11 @@ def is_homomorphism(m: AlgebraMap, sampler: Sampler) -> CheckReport:
     def multiplicative(x, y):
         return m.apply(A.mul(x, y)) == B.mul(m.apply(x), m.apply(y))
 
+    pairs = product(A.basis(), repeat=2)
     if sampler.mode == "exhaustive":
-        pairs = product(A.basis(), repeat=2)
         return first_failure(name, pairs, lambda p: multiplicative(*p), lambda i, p: pair_json(A, *p), done)
+    if m.linear and all(multiplicative(*p) for p in pairs):
+        return CheckReport(name, done + sampler.count, True, None)
 
     def homomorphic(case):
         x, y, r = case
@@ -296,17 +317,23 @@ def is_derivation(d, A, sampler: Sampler) -> CheckReport:
 
     ``d`` is a 3x3 matrix over S acting on the vector slot; it is extended by
     zero on the scalar slot of the rank-7 and rank-8 hermitian families.
+    That map is linear and the product bilinear, so a seeded check settles
+    on the basis pairs first and reports the pass of the draws without
+    drawing when all hold.  When a basis pair fails, the draws' verdict
+    stands, a pass included.
     """
     S = A.S
     d = _validate_s_matrix(S, d)
     fn = _transport(A, A.zero(), u=lambda x: mat_vec(S, d, x.u))
+    name = f"derivation:{A.family}"
 
     def leibniz(pair):
         x, y = pair
         return fn(A.mul(x, y)) == A.add(A.mul(fn(x), y), A.mul(x, fn(y)))
 
-    if sampler.mode == "exhaustive":
-        pairs = product(A.basis(), repeat=2)
-    else:
+    pairs = product(A.basis(), repeat=2)
+    if sampler.mode == "seeded":
+        if all(map(leibniz, pairs)):
+            return CheckReport(name, sampler.count, True, None)
         pairs = draws(sampler, lambda rng: (A.sample(rng), A.sample(rng)))
-    return first_failure(f"derivation:{A.family}", pairs, leibniz, lambda i, p: pair_json(A, *p, index=i))
+    return first_failure(name, pairs, leibniz, lambda i, p: pair_json(A, *p, index=i))

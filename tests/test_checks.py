@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import typing
 from itertools import product
 from math import prod
 from operator import eq
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from colouralg import algebras, checks, etale, rings
+from colouralg import algebras, checks, etale, maps, rings
 from colouralg.checks import CheckReport, Sampler, SplitMix64, report_json_line
 from colouralg.errors import ExhaustiveTooLarge, SuiteNotApplicable
 from colouralg.graded import GradedAlgebra, GradedSpec
@@ -501,7 +502,7 @@ def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkey
     # exhaustive all-applicable run must refuse before its element identities run
     calls = []
 
-    def recorded(A, identity):
+    def recorded(A, identity, view):
         calls.append(identity)
         return CheckReport(identity, 1, True, None)
 
@@ -515,6 +516,32 @@ def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkey
     with pytest.raises(ExhaustiveTooLarge, match="exceed the cap"):
         checks.run_suite(col, "all-applicable", Sampler(mode="exhaustive"))
     assert calls == []
+
+
+def test_exhaustive_suite_builds_one_coordinate_view(monkeypatch):
+    # the suite's identities share its view: one set of structure constants per call
+    built = []
+    real = checks._constants
+
+    def counted(A):
+        built.append(A.family)
+        return real(A)
+
+    monkeypatch.setattr(checks, "_constants", counted)
+    S3 = etale.SplitTorus(F3)
+    handles = [algebras.ZornAlgebra(F3, 1), algebras.ColHermAlgebra(HermitianSpace(S3, mat_identity(S3), S3.one))]
+    for A in handles:
+        built.clear()
+        reports = checks.run_suite(A, "power-assoc", Sampler(mode="exhaustive"))
+        assert [r.passed for r in reports] == [True, True]
+        assert built == [A.family]
+
+
+def test_type_hints_resolve_for_public_callables():
+    for module in (checks, maps):
+        for name in module.__all__:
+            if callable(getattr(module, name)):
+                typing.get_type_hints(getattr(module, name))
 
 
 def _twisted_space(S):

@@ -1,22 +1,26 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from colouralg import etale, maps, rings
+from colouralg import checks, etale, maps, rings
 from colouralg.algebras import (
     CayleyAlgebra,
     ColHermAlgebra,
     ColSplitAlgebra,
     WHermAlgebra,
+    WSplitAlgebra,
     ZornAlgebra,
 )
-from colouralg.checks import Sampler, SplitMix64
+from colouralg.checks import CheckReport, Sampler, SplitMix64, pair_json
 from colouralg.errors import (
     MorphismConditionFailed,
     NotCubeRoot,
     NotIsometry,
     NotSLinear,
 )
+from colouralg.graded import GradedAlgebra, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity, mat_vec
 
 Q = rings.RationalField()
@@ -393,3 +397,224 @@ def test_derivation_agreement_on_kummer_space():
     d = lambda_derivation(P, 0, 1)
     for A in (WHermAlgebra(P), ColHermAlgebra(P), CayleyAlgebra(P)):
         assert maps.is_derivation(d, A, Sampler(seed=29, count=200)).passed
+
+
+# ------------------------------------------- seeded settlement on basis pairs
+#
+# A map built from a matrix is linear and every family product is bilinear,
+# so a seeded check settles on the ordered basis pairs and draws only to
+# locate a failure.  The references below are the draw loop alone: the same
+# map with ``linear`` off, and a derivation loop written out here.
+
+def table_of(m):
+    """The coordinate matrix of a map: column j is the image of coordinate unit vector j."""
+    A, B = m.domain, m.codomain
+    R, r = A.ring, A.rank
+    cols = [B.coords(m.apply(A.from_coords([R.one if k == j else R.zero for k in range(r)]))) for j in range(r)]
+    return [[cols[j][i] for j in range(r)] for i in range(B.rank)]
+
+
+def perturbed(m, i, j):
+    """``m`` as a custom table with entry (i, j) raised by one."""
+    table = table_of(m)
+    table[i][j] = m.domain.ring.add(table[i][j], m.domain.ring.one)
+    return maps.custom_map(m.domain, m.codomain, table)
+
+
+def draw_only_derivation(d, A, sampler):
+    """The seeded Leibniz check on the draws alone."""
+    S = A.S
+
+    def fn(x):
+        return replace(A.zero(), u=mat_vec(S, d, x.u))
+
+    rng = sampler.rng()
+    for index in range(sampler.count):
+        x, y = A.sample(rng), A.sample(rng)
+        if fn(A.mul(x, y)) != A.add(A.mul(fn(x), y), A.mul(x, fn(y))):
+            return CheckReport(f"derivation:{A.family}", index + 1, False, pair_json(A, x, y, index=index))
+    return CheckReport(f"derivation:{A.family}", sampler.count, True, None)
+
+
+def _spaces(R):
+    if R is Q:
+        return {"split": split_space(Q)}
+    K = etale.KummerExtension(R, R.of_int(3))
+    return {"split": split_space(R), "kummer": HermitianSpace(K, mat_identity(K), K.one)}
+
+
+def settlement_maps(R):
+    """label -> map, covering every map-check kind over R, passing and failing."""
+    two, mu = R.of_int(2), (R.of_int(2) if R is F7 else R.one)  # 2^3 = 1 in F7
+    half = R.inv(two)
+    phi2 = ((two, R.zero, R.zero), (R.zero, R.one, R.zero), (R.zero, R.zero, R.one))
+    out = {"dual": maps.dual_iso(ColSplitAlgebra(R, two))}
+    for cls in (ColSplitAlgebra, ZornAlgebra, WSplitAlgebra):
+        A = cls(R, two)
+        out[f"cube-root/{A.family}"] = maps.cube_root_auto(A, mu)
+        out[f"diagonal/{A.family}"] = maps.diagonal_iso(A, phi2, R.one)
+        out[f"unchecked-diagonal/{A.family}"] = maps.diagonal_iso(A, phi2, half, check=False)
+    for label, P in _spaces(R).items():
+        phi = s_matrix(P.S, THREE_CYCLE)
+        g = maps.lift_isometry(P, P, phi, "colour")
+        out[f"G-phi/{label}"] = g
+        out[f"H-phi/{label}"] = maps.lift_isometry(P, P, phi, "cayley")
+        out[f"w-phi/{label}"] = maps.vector_restriction(g)
+    sources = [out["dual"], out["cube-root/zorn"], out["diagonal/w_split"], out["G-phi/split"], out["H-phi/split"]]
+    sources += [maps.vector_restriction(out["G-phi/split"])]
+    graded = GradedAlgebra(GradedSpec(1, 1, 1), R)
+    sources += [maps.custom_map(graded, graded, [[R.one if i == j else R.zero for j in range(8)] for i in range(8)])]
+    for m in sources:
+        r = m.domain.rank
+        out[f"custom/{m.domain.family}/{m.kind}"] = maps.custom_map(m.domain, m.codomain, table_of(m))
+        out[f"custom/{m.domain.family}/{m.kind}/+1@(1,2)"] = perturbed(m, 1, 2)
+        out[f"custom/{m.domain.family}/{m.kind}/+1@({r - 1},0)"] = perturbed(m, r - 1, 0)
+    return out
+
+
+def settlement_derivations(R):
+    """label -> (matrix, algebra): lambda maps (derivations), the identity and zero (not, and trivially)."""
+    out = {}
+    for label, P in _spaces(R).items():
+        S = P.S
+        for A in (WHermAlgebra(P), ColHermAlgebra(P), CayleyAlgebra(P)):
+            out[f"lambda/{A.family}/{label}"] = (lambda_derivation(P, 0, 1), A)
+            out[f"identity/{A.family}/{label}"] = (mat_identity(S), A)
+        out[f"zero/w_hermitian/{label}"] = (((S.zero,) * 3,) * 3, WHermAlgebra(P))
+    return out
+
+
+SETTLEMENT_SAMPLERS = [Sampler(seed=seed, count=count) for seed in (0, 11, 42) for count in (2, 90)]
+SETTLEMENT_RINGS = {"F7": F7, "Q": Q}
+MAP_CASES = [(ring, label) for ring, R in SETTLEMENT_RINGS.items() for label in settlement_maps(R)]
+DERIVATION_CASES = [(ring, label) for ring, R in SETTLEMENT_RINGS.items() for label in settlement_derivations(R)]
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a settled check drew a sample")
+
+    monkeypatch.setattr(SplitMix64, "next_u64", refuse)
+
+
+def test_settled_map_checks_never_draw(no_draws):
+    # basis pairs: 36 (w_split, w_hermitian) to 64 (zorn, cay_hermitian, graded)
+    for R in SETTLEMENT_RINGS.values():
+        passing = {k: m for k, m in settlement_maps(R).items() if "+1" not in k and "unchecked" not in k}
+        for label, m in passing.items():
+            assert m.linear, label
+            done = int(bool(getattr(m.domain, "unital", False) and getattr(m.codomain, "unital", False)))
+            for count in (1, 40, 5000):
+                report = maps.is_homomorphism(m, Sampler(seed=7, count=count))
+                assert report.to_json() == {
+                    "identity": f"homomorphism:{m.kind}", "samples": done + count, "pass": True, "counterexample": None
+                }, label
+        for label, (d, A) in settlement_derivations(R).items():
+            if not label.startswith("identity"):
+                for count in (1, 40, 5000):
+                    report = maps.is_derivation(d, A, Sampler(seed=7, count=count))
+                    assert (report.passed, report.samples, report.counterexample) == (True, count, None), label
+
+
+@pytest.mark.parametrize("ring, label", MAP_CASES)
+def test_settled_homomorphism_report_equals_draw_loop(ring, label):
+    m = settlement_maps(SETTLEMENT_RINGS[ring])[label]
+    reference = replace(m, linear=False)
+    for sampler in SETTLEMENT_SAMPLERS:
+        expected = maps.is_homomorphism(reference, sampler).to_json()
+        assert maps.is_homomorphism(m, sampler).to_json() == expected, (sampler, expected)
+
+
+@pytest.mark.parametrize("ring, label", DERIVATION_CASES)
+def test_settled_derivation_report_equals_draw_loop(ring, label):
+    d, A = settlement_derivations(SETTLEMENT_RINGS[ring])[label]
+    for sampler in SETTLEMENT_SAMPLERS:
+        expected = draw_only_derivation(d, A, sampler).to_json()
+        assert maps.is_derivation(d, A, sampler).to_json() == expected, (sampler, expected)
+
+
+def test_failing_basis_pair_falls_back_to_draws_that_may_pass(monkeypatch):
+    # u1 |-> u1 + u2 on w_split over F3 fails a basis pair, yet both draws of
+    # seed 3 hold: the report is the draws' pass, not the basis failure
+    A = WSplitAlgebra(rings.PrimeField(3), 1)
+    table = [[int(i == j) for j in range(6)] for i in range(6)]
+    table[1][0] = 1
+    m = maps.custom_map(A, A, table)
+    assert not maps.is_homomorphism(m, EXH).passed
+    sampler = Sampler(seed=3, count=2)
+    expected = maps.is_homomorphism(replace(m, linear=False), sampler).to_json()
+    drawn = []
+    real = SplitMix64.next_u64
+
+    def counted(self):
+        drawn.append(1)
+        return real(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    report = maps.is_homomorphism(m, sampler)
+    assert drawn
+    assert report.to_json() == expected == {
+        "identity": "homomorphism:custom", "samples": 2, "pass": True, "counterexample": None
+    }
+
+
+def planted_product(A, i, j, k):
+    """A copy of the split algebra A whose product gains x_i y_j in coordinate k: a bilinear fault seen by one basis pair."""
+    B, R = type(A)(A.ring, A.lam), A.ring
+    real = B.mul
+
+    def mul(x, y):
+        c = list(B.coords(real(x, y)))
+        c[k] = R.add(c[k], R.mul(B.coords(x)[i], B.coords(y)[j]))
+        return B.from_coords(c)
+
+    B.mul = mul
+    return B
+
+
+def test_fault_at_any_one_basis_pair_falls_back_to_draws():
+    # the identity table into w_split/F7 with one planted structure constant:
+    # only basis pair (e_i, e_j) fails, and the report is the draws'
+    A = WSplitAlgebra(F7, 1)
+    table = [[int(a == b) for b in range(6)] for a in range(6)]
+    for i, j in product(range(6), repeat=2):
+        m = maps.custom_map(A, planted_product(A, i, j, 0), table)
+        assert not maps.is_homomorphism(m, EXH).passed
+        sampler = Sampler(seed=i * 6 + j, count=20)
+        report = maps.is_homomorphism(m, sampler)
+        assert not report.passed
+        assert report.to_json() == maps.is_homomorphism(replace(m, linear=False), sampler).to_json()
+
+
+def test_hand_built_map_stays_on_draws(no_draws):
+    dual = maps.dual_iso(ColSplitAlgebra(F7, 1))
+    m = maps.AlgebraMap("hand", dual.domain, dual.codomain, dual.fn)
+    assert not m.linear
+    with pytest.raises(AssertionError, match="drew a sample"):
+        maps.is_homomorphism(m, Sampler(seed=1, count=3))
+
+
+def test_non_bilinear_product_fault_is_left_to_scalar_draws(monkeypatch):
+    # negating w_split products whose x.u[0] is off {0, 1, 2} spares every
+    # basis pair of a diag(2, 1, 1) map, so the settled check passes: the
+    # settlement trusts the product to be bilinear.  Scalar draws see the fault.
+    real = WSplitAlgebra.mul
+
+    def faulty(self, x, y):
+        z = real(self, x, y)
+        return self.neg(z) if x.u[0] not in (self.ring.zero, self.ring.one, self.ring.of_int(2)) else z
+
+    monkeypatch.setattr(WSplitAlgebra, "mul", faulty)
+    sampler = Sampler(seed=42, count=300)
+    for R in (F7, Q):
+        two = R.of_int(2)
+        phi2 = ((two, R.zero, R.zero), (R.zero, R.one, R.zero), (R.zero, R.zero, R.one))
+        m = maps.diagonal_iso(WSplitAlgebra(R, two), phi2, R.one)
+        assert maps.is_homomorphism(m, sampler).to_json() == {
+            "identity": "homomorphism:diagonal", "samples": 300, "pass": True, "counterexample": None
+        }
+        assert not maps.is_homomorphism(replace(m, linear=False), sampler).passed
+    # over Q the element-identity suites draw on the scalar product; over F7 cross-construction does
+    assert not all(r.passed for r in checks.run_suite(WSplitAlgebra(Q, Q.of_int(2)), "all-applicable", sampler))
+    assert not checks.cross_construction_check(F7, 3, sampler).passed
