@@ -47,7 +47,7 @@ layout the base derives everything that is not the family's own maths:
   vector index first, then S component;
 * basis order: slots in coordinate order, within a slot S component first,
   then vector index (hence the hermitian labels p11, p12, p13, p21, ...);
-* ``rank``, ``size``, ``basis`` and the element JSON: one key per field, an
+* ``rank``, ``basis`` and the element JSON: one key per field, an
   R coefficient as its ring string and an S coefficient as a pair of them.
 
 A family supplies its constructor, which builds the layout from its data,
@@ -201,10 +201,6 @@ class Algebra:
         return self.element(
             *[draw(rng) if n is None else tuple([draw(rng) for _ in range(n)]) for draw, n in self._draw]
         )
-
-    @property
-    def size(self):
-        return None if self.ring.size is None else self.ring.size ** self.rank
 
     def coords(self, x):
         out = []

@@ -12,37 +12,39 @@ Every law is a ``sides`` function returning the two sides it equates (a
 multi-part law compares tuples), and every sampled or basis-pair verdict goes
 through ``first_failure``: the cases in order, and the report of the first
 that fails, with ``samples`` counting the cases checked.
-Exhaustive mode enumerates the coordinate space of an algebra over Z/n (the
-only finite rings), gated by a fixed element-count cap.  Every element
-identity of every family runs there on the algebra's structure constants,
-one coordinate tuple at a time (``_CoordView``); the report at the lowest
-failing index comes from the scalar identity, so it is the one a scalar
-enumeration would give.  Seeded element identities over Z/n run on
-``_CoordView`` too.  So over Z/n the seeded and exhaustive verdicts
+Exhaustive mode decides an identity on every input over Z/n (the only finite
+rings), before any work refused past a fixed bound on the evaluations it may
+take.  Every element identity of every family runs there on the algebra's
+structure constants, one coordinate tuple at a time (``_CoordView``); the
+report at the lowest failing index comes from the scalar identity, so it is
+the one a scalar enumeration would give.  Seeded element identities over Z/n
+run on ``_CoordView`` too.  So over Z/n the seeded and exhaustive verdicts
 both hold for the bilinear algebra fixed by the basis products, and every
 report comes from the scalar identity.
 
-Every checked law is a polynomial in the coordinates of its arguments over
-Z/n, of degree at most d in each argument (the bound comes from running the
-identity on ``_Degree``).  With q the least prime factor of n, the grid
-L(d) = {a in N^r : |a| <= d, every a_i <= min(d, q - 1)} of coordinate rows
-settles such a law when n is prime (reduced with x^p = x the monomials keep
-their degree, and L(d) is unisolvent for them) or when d < q (every node
-difference 1..d is a unit): a polynomial of degree at most d vanishing on
-L(d) vanishes on all of (Z/n)^r, by Newton interpolation on lower sets
-(Dyn and Floater, "Multivariate polynomial interpolation on lower sets",
-J. Approx. Theory 177, 2014), one argument after the other.  So an
-exhaustive identity first runs on the product of its arguments' grids; if
-every point agrees it passes.  Otherwise the lowest failing input is found
-by descent: its coordinates are fixed one at a time in enumeration order
-(x's coordinate 0 first, y last), each to the least c for which the law
-still disagrees somewhere on the grid of the coordinates left.  Fixing
-coordinates keeps each argument's degree at most d, so every step is settled
-by the same grid, and a search costs at most n * arity * rank grid passes.
-The fixed digits, read in base n, are the failing index; ``samples`` counts
-the inputs the verdict covers: every input on a pass, the inputs up to the
-failing one on a fail.  The cap admits only algebras over Z/3 (rank 6 to 8),
-where every grid exists.
+Every checked law is the reduction mod n of an integer polynomial in the
+coordinates of its arguments, of degree at most d in each argument (the
+bound comes from running the identity on ``_Degree``).  Write mu(n) for the
+least m with n | m!.  Over Z such a polynomial is the sum of
+c_a C(x_1, a_1) ... C(x_r, a_r) over |a| <= d, where c_a is its forward
+difference at 0, an integer combination of its values at the rows b <= a,
+and a_1! ... a_r! divides c_a; a term with some a_i >= mu(n) vanishes mod n.
+So the lower set L(d) = {a in N^r : |a| <= d, every a_i <= min(d, mu(n) - 1)}
+of coordinate rows settles the law over every Z/n: if it vanishes at every
+row of L(d) all its c_a vanish mod n, and it vanishes on all of (Z/n)^r,
+one argument after the other.  An exhaustive identity first runs on the
+product of its arguments' grids; if every point agrees it passes.  Otherwise
+the lowest failing input is found by descent: its coordinates are fixed one
+at a time in enumeration order (x's coordinate 0 first, y last), each to the
+least c for which the law still disagrees somewhere on the grid of the
+coordinates left.  Fixing coordinates keeps each argument's degree at most
+d, so every step is settled by the same grids, and the least c is at most
+min(d, mu(n) - 1), since some failing row of the grid has it.  So an
+identity costs at most (1 + sum_m r (min(d_m, mu(n) - 1) + 1)) prod_m |L(d_m)|
+evaluations for rank r and argument degrees d_m, whatever n is, and that
+estimate is what ``EXHAUSTIVE_WORK`` bounds.  The fixed digits, read in base
+n, are the failing index; ``samples`` counts the inputs the verdict covers:
+every input on a pass, the inputs up to the failing one on a fail.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import chain, product
+from functools import lru_cache
+from itertools import chain, product, takewhile
+from math import comb, prod
 from operator import eq, mul
 
 from .algebras import (
@@ -78,17 +82,17 @@ __all__ = [
     "first_failure",
     "draws",
     "pair_json",
-    "sample_stream",
     "suites_for",
     "cross_construction_check",
     "cay_zorn_check",
     "colsplit_mul_batch",
     "SUITES",
     "APPLICABLE",
-    "EXHAUSTIVE_CAP",
+    "EXHAUSTIVE_WORK",
 ]
 
-EXHAUSTIVE_CAP = 3 ** 8
+# the bound on an exhaustive identity's evaluation estimate (module docstring)
+EXHAUSTIVE_WORK = 10**6
 
 
 class SplitMix64:
@@ -174,30 +178,10 @@ def pair_json(A, x, y, **fields) -> dict:
     return {"x": A.element_to_json(x), "y": A.element_to_json(y), **fields}
 
 
-# ------------------------------------------------------------------ streams
-
-
-def _require_enumerable(shape) -> None:
-    size = shape.size
-    if size is None:
-        raise ExhaustiveTooLarge(f"{shape.family} over {shape.ring.kind} is not enumerable")
-    if size > EXHAUSTIVE_CAP:
-        raise ExhaustiveTooLarge(f"{size} elements exceed the cap {EXHAUSTIVE_CAP}")
-
-
 def draws(sampler: Sampler, draw):
     """``sampler.count`` cases ``draw(rng)``, drawn lazily from a generator restarted at the seed."""
     rng = sampler.rng()
     return (draw(rng) for _ in range(sampler.count))
-
-
-def sample_stream(sampler: Sampler, shape):
-    """Deterministic element stream for an algebra handle."""
-    if sampler.mode == "exhaustive":
-        _require_enumerable(shape)
-        yield from shape.enumerate_elements()
-        return
-    yield from draws(sampler, shape.sample)
 
 
 # ------------------------------------------------------------ identities
@@ -380,7 +364,7 @@ def run_identity(A, identity: str, sampler: Sampler, view=None) -> CheckReport:
     if identity in CROSS_IDENTITIES:
         report = _run_cross_identity(A, identity, sampler)
     elif identity in ELEMENT_IDENTITIES:
-        report = _run_element_identity(A, identity, sampler, view or _coord_view(A, sampler))
+        report = _run_element_identity(A, identity, sampler, view or _coord_view(A, sampler, [identity]))
     else:
         raise SuiteNotApplicable(f"unknown identity {identity!r}")
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -419,11 +403,11 @@ def _run_element_identity(A, identity, sampler, view) -> CheckReport:
     return first_failure(identity, cases, holds, lambda index, xs: _failure(A, identity, index, xs))
 
 
-def _coord_view(A, sampler):
+def _coord_view(A, sampler, names):
     """A's coordinate view when its element identities run on one, else None: in exhaustive
-    mode once A is enumerable (built after that check), in seeded mode over Z/n."""
+    mode once the identities ``names`` are admitted (built after that check), in seeded mode over Z/n."""
     if sampler.mode == "exhaustive":
-        _require_enumerable(A)
+        _require_enumerable(A, names)
         return _CoordView(A)
     return _CoordView(A) if isinstance(A.ring, IntegersMod) else None
 
@@ -456,7 +440,7 @@ def _constants(A):
     def polar(i, j):
         return R.sub(R.sub(A.norm(A.add(e[i], e[j])), norms[i]), norms[j])
 
-    form = [[0] * i + [norms[i]] + [polar(i, j) for j in range(i + 1, r)] for i in range(r)]
+    form = [[R.zero] * i + [norms[i]] + [polar(i, j) for j in range(i + 1, r)] for i in range(r)]
     C = [[A.coords(A.mul(x, y)) for y in e] for x in e]
     if not A.unital:
         return C, form, None, None
@@ -469,7 +453,7 @@ class _CoordView:
 
     def __init__(self, A):
         C, form, self._trace, self._one = _constants(A)
-        self.n, self.ring, self._zero = A.ring.n, _BatchRing(A.ring.n), (0,) * A.rank
+        self.n, self.ring, self._zero = A.ring.n, A.ring, (0,) * A.rank
         self._C = [[(j, k, c) for j, p in enumerate(row) for k, c in enumerate(p) if c] for row in C]
         self._Q = [(i, j, q) for i, row in enumerate(form) for j, q in enumerate(row) if q]
 
@@ -502,19 +486,6 @@ class _CoordView:
 
     def zero(self):
         return self._zero
-
-
-class _BatchRing:
-    """Z/n on plain ints; the tests' reference view runs it on arrays too."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def mul(self, a, b):
-        return a * b % self.n
-
-    def neg(self, a):
-        return -a % self.n
 
 
 def colsplit_mul_batch(B, X, Y):
@@ -577,19 +548,50 @@ def _degrees(sides, arity) -> list[int]:
     return [max(sides(_Degree(), *[int(k == m) for k in range(arity)])) for m in range(arity)]
 
 
+def _cap(n, d):
+    """min(d, mu(n) - 1), mu(n) the least m with n | m!, in at most d steps (so for any prime accepted)."""
+    f = 1
+    for m in range(1, d + 1):
+        f = f * m % n
+        if not f:
+            return m - 1
+    return d
+
+
+@lru_cache(maxsize=256)
 def _grid(n, r, d):
-    """L(d) over Z/n as coordinate rows, or None where it does not settle degree d (module docstring)."""
-    q = next(p for p in range(2, n + 1) if n % p == 0)
-    if q <= d and q < n:
-        return None
-    top, rows = min(d, q - 1), [()]
+    """L(d) over Z/n as coordinate rows, each coordinate at most ``_cap(n, d)``: it settles degree d
+    (module docstring).  Memoised: the rows are shared, so callers must not change them."""
+    top, rows = _cap(n, d), [()]
     for _ in range(r):
         rows = [a + (c,) for a in rows for c in range(min(top, d - sum(a)) + 1)]
     return rows
 
 
+def _grid_size(n, r, d):
+    """|L(d)| by inclusion-exclusion over the coordinates past the cap, without building the rows
+    (on a large graded rank, millions of them)."""
+    t = _cap(n, d) + 1
+    return sum((-1) ** j * comb(r, j) * comb(d - j * t + r, r) for j in range(d // t + 1))
+
+
+def _require_enumerable(A, names) -> None:
+    """Refuse exhaustive mode, before any work: off Z/n, or when an element identity of ``names``
+    has an evaluation estimate past ``EXHAUSTIVE_WORK`` (module docstring)."""
+    if not isinstance(A.ring, IntegersMod):
+        raise ExhaustiveTooLarge(f"{A.family} over {A.ring.kind} is not enumerable")
+    n, r = A.ring.n, A.rank
+    for name in names:
+        arity, sides, _ = ELEMENT_IDENTITIES[name]
+        degrees = _degrees(sides, arity)
+        work = (1 + sum(r * (_cap(n, d) + 1) for d in degrees)) * prod(_grid_size(n, r, d) for d in degrees)
+        if work > EXHAUSTIVE_WORK:
+            raise ExhaustiveTooLarge(f"{name} needs an estimated {work} evaluations, past the bound {EXHAUSTIVE_WORK}")
+
+
 def _colsplit_exhaustive_pairs(A, identity: str, view) -> CheckReport:
-    """Exhaustive driver for every family and arity: a grid pass, then a descent (module docstring).
+    """Exhaustive driver for every family, arity and Z/n: a pass on the capped grids, then a descent
+    that tries each coordinate only up to its argument's cap (module docstring).
     ``view``: A's ``_CoordView`` from ``_coord_view``, shared by the suite.
     perfbench's tracer counts its calls by this name."""
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
@@ -605,8 +607,8 @@ def _colsplit_exhaustive_pairs(A, identity: str, view) -> CheckReport:
     if not fails(()):
         return CheckReport(identity, n ** (arity * r), True, None)
     prefix, index = (), 0
-    for _ in range(arity * r):
-        c = next(c for c in range(n) if fails(prefix + (c,)))
+    for position in range(arity * r):
+        c = next(c for c in range(_cap(n, degrees[position // r]) + 1) if fails(prefix + (c,)))
         prefix, index = prefix + (c,), index * n + c
     elems = [A.from_coords(prefix[m * r : (m + 1) * r]) for m in range(arity)]
     return CheckReport(identity, index + 1, False, _failure(A, identity, index, elems))
@@ -623,11 +625,12 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
     else:
         names = SUITES[suite]
     if sampler.mode == "exhaustive" and any(name in CROSS_IDENTITIES for name in names):
-        # fail before any work, with the error the first identity to run would raise
-        if names[0] in ELEMENT_IDENTITIES:
-            _require_enumerable(A)
+        # fail before any work, with the error that running the identities in order would raise first
+        element = list(takewhile(ELEMENT_IDENTITIES.__contains__, names))
+        if element:
+            _require_enumerable(A, element)
         raise ExhaustiveTooLarge("cross identities support seeded sampling only")
-    view = _coord_view(A, sampler) if any(name in ELEMENT_IDENTITIES for name in names) else None
+    view = _coord_view(A, sampler, names) if any(name in ELEMENT_IDENTITIES for name in names) else None
     return [run_identity(A, name, sampler, view) for name in names]
 
 

@@ -99,4 +99,5 @@ class SuiteNotApplicable(ColourAlgError):
 
 
 class ExhaustiveTooLarge(ColourAlgError):
-    """Exhaustive enumeration exceeds the configured element cap."""
+    """Exhaustive mode refused: a base ring other than Z/n, cross identities, or an identity
+    whose evaluation estimate exceeds the work bound ``checks.EXHAUSTIVE_WORK``."""

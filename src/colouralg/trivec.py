@@ -257,9 +257,6 @@ class HermitianSpace:
         S = self.S
         return tuple(S.sample(rng) for _ in range(3))
 
-    def gram_to_json(self):
-        return [[self.S.to_json(e) for e in row] for row in self.gram]
-
     def __eq__(self, other):
         return (
             isinstance(other, HermitianSpace)

@@ -1,10 +1,13 @@
 import copy
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 import typing
+from functools import reduce
 from itertools import product
-from math import prod
+from math import comb, prod
 from operator import eq
 
 import numpy as np
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from colouralg import algebras, checks, etale, maps, rings
+import colouralg
+from colouralg import algebras, checks, etale, rings
 from colouralg.checks import CheckReport, Sampler, SplitMix64, report_json_line
 from colouralg.errors import ExhaustiveTooLarge, SuiteNotApplicable
 from colouralg.graded import GradedAlgebra, GradedSpec
@@ -56,28 +60,33 @@ def test_sampler_validation():
         Sampler(seed=1, mode="random")
 
 
-def test_sample_stream_deterministic():
+def test_draws_deterministic():
     A = algebras.ColSplitAlgebra(F7, 1)
     s = Sampler(seed=42, count=25)
-    xs = list(checks.sample_stream(s, A))
-    ys = list(checks.sample_stream(s, A))
+    xs = list(checks.draws(s, A.sample))
+    ys = list(checks.draws(s, A.sample))
     assert xs == ys
     assert len(xs) == 25
 
 
-def test_sample_stream_exhaustive_count():
+def test_enumerate_elements_count():
     A = algebras.ColSplitAlgebra(F3, 1)
-    s = Sampler(seed=0, mode="exhaustive")
-    elems = list(checks.sample_stream(s, A))
+    elems = list(A.enumerate_elements())
     assert len(elems) == 3**7 == 2187
     assert len(set(elems)) == 2187
 
 
-def test_sample_stream_exhaustive_too_large():
-    with pytest.raises(ExhaustiveTooLarge):
-        list(checks.sample_stream(Sampler(mode="exhaustive"), algebras.ColSplitAlgebra(Q, Q.one)))
-    with pytest.raises(ExhaustiveTooLarge):
-        list(checks.sample_stream(Sampler(mode="exhaustive"), algebras.ColSplitAlgebra(F5, 1)))
+def test_exhaustive_refusal_names_the_ring_or_the_estimate():
+    ex = Sampler(mode="exhaustive")
+    with pytest.raises(ExhaustiveTooLarge, match="^col_split over Q is not enumerable$"):
+        checks.run_identity(algebras.ColSplitAlgebra(Q, Q.one), "flexible", ex)
+    # graded(2,2,2) has rank 28: flexible, of degrees (2, 1), would take up to
+    # (1 + 28*3 + 28*2) * |L(2)| * |L(1)| = 141 * 435 * 29 evaluations
+    with pytest.raises(ExhaustiveTooLarge, match="^flexible needs an estimated 1778715 evaluations, past the bound 1000000$"):
+        checks.run_identity(GradedAlgebra(GradedSpec(2, 2, 2), F7), "flexible", ex)
+    # the work bound, not the element count, decides: col_split over F5 has 5^7 elements
+    report = checks.run_identity(algebras.ColSplitAlgebra(F5, 1), "flexible", ex)
+    assert report.passed and report.samples == 5**14
 
 
 def test_suite_gating():
@@ -156,7 +165,7 @@ class _BatchView:
         self.T = self.rows([[t] for t in trace]) if A.unital else None
         self._one = self.rows([one]) if A.unital else None
         self._zero = self.rows([[0] * r])
-        self.ring = checks._BatchRing(n)
+        self.ring = A.ring
 
     def rows(self, values):
         return np.array(values, dtype=self.dtype)
@@ -287,43 +296,41 @@ def test_per_argument_degrees():
     }
 
 
-def _prime_factors(n):
-    return [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
+def _kempner(n):
+    """The least m with n | m!, by running m! to the end."""
+    m, f = 1, 1
+    while f % n:
+        m += 1
+        f *= m
+    return m
 
 
-def _monomials_invertible(n, rows):
-    """Whether the matrix of the monomials x^a (a in rows) at the points x of rows has a unit determinant mod n."""
-    for p in _prime_factors(n):
-        M = [[prod(pow(c, e, p) for c, e in zip(x, a)) % p for a in rows] for x in rows]
-        for col in range(len(M)):
-            pivot = next((i for i in range(col, len(M)) if M[i][col]), None)
-            if pivot is None:
-                return False
-            M[col], M[pivot] = M[pivot], M[col]
-            inv = pow(M[col][col], -1, p)
-            for i in range(col + 1, len(M)):
-                f = M[i][col] * inv % p
-                M[i] = [(u - f * v) % p for u, v in zip(M[i], M[col])]
-    return True
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.sampled_from([3, 5, 7, 9, 15]), r=st.integers(1, 4), d=st.integers(0, 5))
-@example(n=7, r=4, d=5)
-@example(n=3, r=4, d=5)
-@example(n=15, r=4, d=2)
-@example(n=9, r=2, d=3)
-def test_grid_is_unisolvent_or_absent(n, r, d):
-    # L(d) settles degree d over Z/n exactly when its monomial matrix is
-    # invertible; the helper declines composite n with d >= q
-    q = _prime_factors(n)[0]
-    rows = checks._grid(n, r, d)
-    if q < n and d >= q:
-        assert rows is None
-        return
-    top = min(d, q - 1)
-    assert rows == [a for a in product(range(top + 1), repeat=r) if sum(a) <= d]
-    assert _monomials_invertible(n, rows)
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 21, 25, 27])
+def test_capped_grid_reproduces_every_monomial(n):
+    # for r <= 3, d <= 5 and each monomial x^e with |e| <= d, the forward
+    # differences of x^e at 0 over the rows a of the capped grid L(d), times
+    # the binomials C(x, a), give x^e back at every point of (Z/n)^r
+    binom = np.array([[comb(x, a) % n for x in range(n)] for a in range(6)], dtype=np.int64)
+    for r in (1, 2, 3):
+        points = np.indices((n,) * r).reshape(r, -1)
+        for d in range(6):
+            top = min(d, _kempner(n) - 1)
+            rows = checks._grid(n, r, d)
+            assert rows == [a for a in product(range(top + 1), repeat=r) if sum(a) <= d]
+            assert checks._grid_size(n, r, d) == len(rows)
+            basis = np.array([np.prod([binom[a[i]][points[i]] for i in range(r)], axis=0) % n for a in rows])
+            for e in (a for a in product(range(d + 1), repeat=r) if sum(a) <= d):
+                value = {a: prod(c**k for c, k in zip(a, e)) for a in rows}
+                diffs = [
+                    sum(
+                        (-1) ** (sum(a) - sum(b)) * prod(comb(i, j) for i, j in zip(a, b)) * value[b]
+                        for b in product(*[range(i + 1) for i in a])
+                    )
+                    % n
+                    for a in rows
+                ]
+                want = np.prod([points[i] ** e[i] % n for i in range(r)], axis=0) % n
+                assert (np.array(diffs, dtype=np.int64) @ basis % n == want).all(), (n, r, d, e)
 
 
 def _split_f3_space():
@@ -388,6 +395,30 @@ def test_probe_path_report_equals_full_table_pass(case, ijk, delta):
     A.mul = planted
     probed = checks.run_identity(A, identity, Sampler(mode="exhaustive"))
     assert probed.to_json() == full_table_report(A, identity).to_json()
+
+
+Z9 = rings.IntegersMod(9)
+_SPLIT_Z9 = etale.SplitTorus(Z9)
+# rank 6, so the full table has 9^6 rows; the grids of degree 3 and 4 need
+# coordinates past 2, where the least prime factor 3 of 9 is not a unit
+Z9_HANDLES = [algebras.WSplitAlgebra(Z9, 2), algebras.WHermAlgebra(HermitianSpace(_SPLIT_Z9, mat_identity(_SPLIT_Z9), (1, 1)))]
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    A=st.sampled_from(Z9_HANDLES),
+    identity=st.sampled_from(["power-associativity-deg3", "power-associativity-deg4"]),
+    ijk=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+)
+@example(A=Z9_HANDLES[0], identity="power-associativity-deg4", ijk=(0, 3, 1))
+@example(A=Z9_HANDLES[1], identity="power-associativity-deg3", ijk=(2, 2, 4))
+def test_composite_modulus_descent_equals_full_table(A, identity, ijk):
+    # one wrong structure constant over Z/9: the capped grid pass and the
+    # descent must give the report of the full-table reference
+    planted = _planted_constant(A, *ijk)
+    assert checks.run_identity(planted, identity, Sampler(mode="exhaustive")).to_json() == full_table_report(
+        planted, identity
+    ).to_json()
 
 
 def test_quadratic_identity_runs_every_y():
@@ -507,14 +538,31 @@ def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkey
         return CheckReport(identity, 1, True, None)
 
     monkeypatch.setattr(checks, "_colsplit_exhaustive_pairs", recorded)
-    S3, S5 = etale.SplitTorus(F3), etale.SplitTorus(F5)
+    S3 = etale.SplitTorus(F3)
     cay = algebras.CayleyAlgebra(HermitianSpace(S3, mat_identity(S3), S3.one))
     with pytest.raises(ExhaustiveTooLarge, match="^cross identities support seeded sampling only$"):
         checks.run_suite(cay, "all-applicable", Sampler(mode="exhaustive"))
-    # an algebra past the cap keeps the error its first element identity gave
-    col = algebras.ColHermAlgebra(HermitianSpace(S5, mat_identity(S5), S5.one))
-    with pytest.raises(ExhaustiveTooLarge, match="exceed the cap"):
+    # an algebra that is not enumerable keeps the error its first element identity gave
+    SQ = etale.SplitTorus(Q)
+    col = algebras.ColHermAlgebra(HermitianSpace(SQ, mat_identity(SQ), SQ.one))
+    with pytest.raises(ExhaustiveTooLarge, match="^col_hermitian over Q is not enumerable$"):
         checks.run_suite(col, "all-applicable", Sampler(mode="exhaustive"))
+    # and an element identity ahead of the cross identities is refused past the bound
+    monkeypatch.setattr(checks, "EXHAUSTIVE_WORK", 1000)
+    with pytest.raises(ExhaustiveTooLarge, match="^flexible needs an estimated 16605 evaluations, past the bound 1000$"):
+        checks.run_suite(cay, "all-applicable", Sampler(mode="exhaustive"))
+    assert calls == []
+
+
+def test_exhaustive_suite_past_the_bound_fails_before_any_identity(monkeypatch):
+    # graded(1,2,2) has rank 20: flexible is within the bound, jordan is not,
+    # so the suite refuses before flexible runs, naming jordan's estimate
+    calls = []
+    monkeypatch.setattr(checks, "_colsplit_exhaustive_pairs", lambda A, identity, view: calls.append(identity))
+    A = GradedAlgebra(GradedSpec(1, 2, 2), F7)
+    assert A.rank == 20
+    with pytest.raises(ExhaustiveTooLarge, match="^jordan needs an estimated 4500111 evaluations"):
+        checks.run_suite(A, "all-applicable", Sampler(mode="exhaustive"))
     assert calls == []
 
 
@@ -537,9 +585,47 @@ def test_exhaustive_suite_builds_one_coordinate_view(monkeypatch):
         assert built == [A.family]
 
 
+def test_exhaustive_suites_over_a_large_prime_finish():
+    # the capped grids do not grow with n, so over F_1048573 a suite costs
+    # what it costs over F7, and the descent tries each digit only up to its degree
+    ex, p = Sampler(mode="exhaustive"), F_BIG.n
+    reports = checks.run_suite(algebras.ZornAlgebra(F_BIG, 5), "all-applicable", ex)
+    assert [(r.identity, r.passed, r.samples) for r in reports] == [
+        ("flexible", True, p**16),
+        ("jordan", True, p**16),
+        ("quadratic-relation", True, p**8),
+        ("power-associativity-deg3", True, p**8),
+        ("power-associativity-deg4", True, p**8),
+        ("norm-composition", True, p**16),
+    ]
+    A = algebras.ColSplitAlgebra(F_BIG, 5)
+    control = checks.run_identity(A, "norm-composition", ex)
+    index = control.counterexample["index"]
+    digits = [index // p**k % p for k in reversed(range(14))]
+    x, y = A.from_coords(digits[:7]), A.from_coords(digits[7:])
+    assert control.counterexample["inputs"] == [A.element_to_json(x), A.element_to_json(y)]
+    lhs, rhs = checks.ELEMENT_IDENTITIES["norm-composition"][1](A, x, y)
+    assert lhs != rhs and control.samples == index + 1
+    # x = v3, y = u3: the pair the F3 golden control reports (index 3^7 + 3^3)
+    assert index == p**7 + p**3
+
+
+def test_constants_over_q_are_ring_elements():
+    # the norm form is padded with the ring's zero, so Q's own ops take every entry
+    A = algebras.ColSplitAlgebra(Q, Q.one)
+    _, form, _, _ = checks._constants(A)
+    for x in checks.draws(Sampler(seed=3, count=5), A.sample):
+        c = A.coords(x)
+        terms = [Q.mul(q, Q.mul(c[i], c[j])) for i, row in enumerate(form) for j, q in enumerate(row) if not Q.is_zero(q)]
+        assert reduce(Q.add, terms, Q.zero) == A.norm(x)
+
+
 def test_type_hints_resolve_for_public_callables():
-    for module in (checks, maps):
-        for name in module.__all__:
+    # every exported name exists, so a removed name cannot linger in __all__
+    names = [m.name for m in pkgutil.iter_modules(colouralg.__path__) if m.name != "__main__"]
+    for module in [colouralg, *[importlib.import_module(f"colouralg.{name}") for name in names]]:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
             if callable(getattr(module, name)):
                 typing.get_type_hints(getattr(module, name))
 

@@ -108,6 +108,28 @@ def test_check_exhaustive_flexible_mod_3(tmp_path):
     assert report["pass"] and report["samples"] == 3**14
 
 
+def test_check_exhaustive_zorn_f7_composition(tmp_path):
+    # 7^8 elements: the work bound, not the element count, decides, and
+    # norm-composition settles on its 45 x 45 grid of degree 2 rows
+    cfg = write(tmp_path, "z7.json", {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "zorn", "lam": "3"}})
+    rc, out, _ = run_cli("check", cfg, "--suite", "composition", "--mode", "exhaustive")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["pass"] and report["samples"] == 7**16
+
+
+def test_check_exhaustive_past_the_work_bound_exit_two(tmp_path):
+    # graded(2,2,2) has rank 28; its first identity, flexible, is past the bound
+    cfg = write(tmp_path, "g.json", {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 2, "m": 2, "n": 2}})
+    rc, out, err = run_cli("check", cfg, "--mode", "exhaustive")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ExhaustiveTooLarge",
+        "message": "flexible needs an estimated 1778715 evaluations, past the bound 1000000",
+    }
+
+
 def test_check_zorn_seeded_1000(tmp_path):
     cfg = write(
         tmp_path,
