@@ -39,8 +39,10 @@ layout the base derives everything that is not the family's own maths:
 * the module structure: ``zero``, ``one`` (the ``unit`` fields set to K's
   one; a family is unital when it names any), ``add``, ``sub``, ``neg`` and
   ``smul`` (by an R payload), slot by slot;
-* draw order: ``sample`` draws the slots in field order, one ``K.sample``
-  per coefficient, so every stream is fixed by the layout;
+* draw order: ``sample_coords`` makes ``rank`` base-ring samples in field
+  order, one per R coefficient (two per S coefficient), and permutes them
+  once into coordinate order; ``sample`` is its element, so every stream is
+  fixed by the layout;
 * coordinate order: ``coords``, ``from_coords`` and ``enumerate_elements``
   run over the slots in ``coord_order`` (field order unless given; Zorn's
   fields are a, u, ud, ap but its coordinates a, ap, u, ud), within a slot
@@ -58,8 +60,8 @@ and its maths: ``mul``, ``norm``, ``basis_labels`` and, when unital,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, product, repeat
-from operator import attrgetter
+from itertools import accumulate, chain, product, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import NotTraceZero, WrongRing
 from .etale import EtaleAlgebra
@@ -148,21 +150,23 @@ class Algebra:
         self.unital = bool(unit)
         self._slots = [(name, K, n, isinstance(K, EtaleAlgebra)) for name, K, n in slots]
         by_name = {s[0]: s for s in self._slots}
+        width = {name: (n or 1) * (2 if pair else 1) for name, _, n, pair in self._slots}
+        drawn = dict(zip(by_name, accumulate(width.values(), initial=0)))  # a slot's first draw
         # coordinate slots carry their [start, stop) range in the coordinate tuple
-        self._coord_slots, start = [], 0
+        self._coord_slots, start, order = [], 0, []
         for name in coord_order or by_name:
             name, K, n, pair = by_name[name]
-            stop = start + (n or 1) * (2 if pair else 1)
-            self._coord_slots.append((name, K, n, pair, start, stop))
-            start = stop
+            self._coord_slots.append((name, K, n, pair, start, start + width[name]))
+            start += width[name]
+            order.extend(range(drawn[name], drawn[name] + width[name]))
         self.rank = start
+        self._draw_to_coords = itemgetter(*order)  # field-order draws -> coordinate tuple
         # (getter, coefficient op, vector?) per slot, for the hot module operations
         parts = [(attrgetter(name), K, pair, n is not None) for name, K, n, pair in self._slots]
         self._add = [(get, K.add, vec) for get, K, _, vec in parts]
         self._sub = [(get, K.sub, vec) for get, K, _, vec in parts]
         self._neg = [(get, K.neg, vec) for get, K, _, vec in parts]
         self._smul = [(get, K.smul if pair else K.mul, vec) for get, K, pair, vec in parts]
-        self._draw = [(K.sample, n) for _, K, n, _ in self._slots]
         # elements are frozen and ring payloads shared, so zero and one are built once
         self._zero = element(*[K.zero if n is None else (K.zero,) * n for _, K, n, _ in self._slots])
         self._one = replace(self._zero, **{name: by_name[name][1].one for name in unit})
@@ -198,9 +202,12 @@ class Algebra:
         return (self.norm(x), self.trace(x))
 
     def sample(self, rng):
-        return self.element(
-            *[draw(rng) if n is None else tuple([draw(rng) for _ in range(n)]) for draw, n in self._draw]
-        )
+        return self.from_coords(self.sample_coords(rng))
+
+    def sample_coords(self, rng):
+        """A draw's coordinate tuple: ``rank`` base-ring samples in field order, permuted once."""
+        sample = self.ring.sample
+        return self._draw_to_coords([sample(rng) for _ in range(self.rank)])
 
     def coords(self, x):
         out = []

@@ -18,7 +18,8 @@ take.  Every element identity of every family runs there on the algebra's
 structure constants, one coordinate tuple at a time (``_CoordView``); the
 report at the lowest failing index comes from the scalar identity, so it is
 the one a scalar enumeration would give.  Seeded element identities over Z/n
-run on ``_CoordView`` too.  So over Z/n the seeded and exhaustive verdicts
+run on ``_CoordView`` too, fed the draws' coordinate tuples
+(``Algebra.sample_coords``).  So over Z/n the seeded and exhaustive verdicts
 both hold for the bilinear algebra fixed by the basis products, and every
 report comes from the scalar identity.
 
@@ -107,10 +108,10 @@ class SplitMix64:
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + self.GAMMA) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * self.MIX1) & self.MASK
-        z = ((z ^ (z >> 27)) * self.MIX2) & self.MASK
+        # the class constants as literals: no attribute lookups on the hottest call of a seeded run
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
@@ -395,12 +396,13 @@ def _run_element_identity(A, identity, sampler, view) -> CheckReport:
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     if sampler.mode == "exhaustive":
         return _colsplit_exhaustive_pairs(A, identity, view)
-    cases = draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)])
     if view is None:
-        holds = lambda xs: eq(*sides(A, *xs))  # noqa: E731
-    else:
-        holds = lambda xs: eq(*sides(view, *map(A.coords, xs)))  # noqa: E731
-    return first_failure(identity, cases, holds, lambda index, xs: _failure(A, identity, index, xs))
+        cases = draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)])
+        return first_failure(identity, cases, lambda xs: eq(*sides(A, *xs)), lambda i, xs: _failure(A, identity, i, xs))
+    # the view takes the draws' coordinate tuples; only a failing input becomes elements
+    cases = draws(sampler, lambda rng: [A.sample_coords(rng) for _ in range(arity)])
+    describe = lambda i, cs: _failure(A, identity, i, list(map(A.from_coords, cs)))  # noqa: E731
+    return first_failure(identity, cases, lambda cs: eq(*sides(view, *cs)), describe)
 
 
 def _coord_view(A, sampler, names):

@@ -78,10 +78,6 @@ class EtaleAlgebra:
             for b in self.ring.elements():
                 yield (a, b)
 
-    @property
-    def size(self):
-        return None if self.ring.size is None else self.ring.size ** 2
-
     def format(self, x) -> str:
         return f"({self.ring.format(x[0])}, {self.ring.format(x[1])})"
 

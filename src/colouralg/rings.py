@@ -162,7 +162,6 @@ class Ring:
     """Common interface of the ring handles."""
 
     kind: str
-    size: int | None  # number of elements, None when infinite
     is_field: bool
 
     def add(self, a, b):
@@ -252,7 +251,6 @@ def _fraction_sum(na: int, da: int, nb: int, db: int) -> Fraction:
 
 class RationalField(Ring):
     kind = "Q"
-    size = None
     is_field = True
 
     def __init__(self):
@@ -332,7 +330,6 @@ class IntegersMod(Ring):
             raise EvenModulus(f"modulus must be at least 3, got {n}")
         self.n = n
         self.kind = f"Z/{n}"
-        self.size = n
         self.zero = 0
         self.one = 1 % n
 
@@ -446,7 +443,6 @@ class PolynomialRing(Ring):
     constant polynomials with a unit constant.
     """
 
-    size = None
     is_field = False
 
     def __init__(self, base: Ring, variables: list[str]):

@@ -22,6 +22,13 @@ and the hermitian cross product is the unique p = v x w with
 
 concretely ``p = conj(H^-T (alpha * C))`` where C is the classical cofactor
 column of (v, w).
+
+Both run on the nonzero entries of H and H^-T, kept as sparse rows: a unit
+entry is added as it is, a conjugation-fixed one scaled by its R value
+(``S.smul``), any other multiplied in S.  So ``h(u, v) = sum_i conj(u_i)
+(H v)_i`` takes 3 S-products plus one per general entry of H, and ``cross``
+the 6 of C, one per general entry of H^-T and 3 for alpha unless alpha is
+one.  ``alpha`` is read on every call, never folded into the rows.
 """
 
 from __future__ import annotations
@@ -156,6 +163,35 @@ def mat_adjugate(K, M):
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
+def _sparse_rows(S: EtaleAlgebra, M):
+    """M's rows as (j, c, fixed) per nonzero entry: c None for a unit entry (added as it is), else
+    the R value of a conjugation-fixed entry (``fixed``, applied by ``S.smul``) or the entry itself
+    (applied by ``S.mul``).  No op is stored: ``_apply_rows`` looks them up on each call, so a
+    wrapper installed on S's class sees every product."""
+    rows = []
+    for row in M:
+        entries = []
+        for j, g in enumerate(row):
+            if not S.is_zero(g):
+                fixed = S.conj(g) == g
+                entries.append((j, None if g == S.one else S.as_scalar(g) if fixed else g, fixed))
+        rows.append(tuple(entries))
+    return tuple(rows)
+
+
+def _apply_rows(S: EtaleAlgebra, rows, x):
+    """M x from the rows of ``_sparse_rows``; an invertible M has no empty row."""
+    add, smul, mul = S.add, S.smul, S.mul
+    out = []
+    for row in rows:
+        t = None
+        for j, c, fixed in row:
+            y = x[j] if c is None else smul(c, x[j]) if fixed else mul(c, x[j])
+            t = y if t is None else add(t, y)
+        out.append(t)
+    return out
+
+
 def mat_inv(K, M):
     """Inverse via adjugate over det; requires det(M) to be a unit."""
     d = mat_det(K, M)
@@ -220,24 +256,24 @@ class HermitianSpace:
         self.gram = gram
         self.alpha = alpha
         self.det = det
-        # H^-T, precomputed via the adjugate (valid over rings with zero divisors)
-        self._hinv_t = mat_transpose(mat_smul(S, S.inv(det), mat_adjugate(S, gram)))
+        # H and H^-T (via the adjugate, valid over rings with zero divisors) on their nonzero entries
+        self._gram_rows = _sparse_rows(S, gram)
+        self._hinv_t_rows = _sparse_rows(S, mat_transpose(mat_smul(S, S.inv(det), mat_adjugate(S, gram))))
 
     def h(self, u, v):
-        """h(u, v) = sum_ij conj(u_i) H_ij v_j; conjugate-linear in u."""
+        """h(u, v) = sum_i conj(u_i) (H v)_i; conjugate-linear in u."""
         S = self.S
-        t = S.zero
-        for i in range(3):
-            ci = S.conj(u[i])
-            for j in range(3):
-                t = S.add(t, S.mul(S.mul(ci, self.gram[i][j]), v[j]))
-        return t
+        conj, mul = S.conj, S.mul
+        hv = _apply_rows(S, self._gram_rows, v)
+        return S.add(S.add(mul(conj(u[0]), hv[0]), mul(conj(u[1]), hv[1])), mul(conj(u[2]), hv[2]))
 
     def cross(self, v, w):
         """Hermitian cross product: the unique p with h(p,u) = alpha*det(u|v|w)."""
         S = self.S
         c = classical_cross(S, v, w)
-        return vec_conj(S, mat_vec(S, self._hinv_t, vec_smul(S, self.alpha, c)))
+        if self.alpha != S.one:
+            c = vec_smul(S, self.alpha, c)
+        return vec_conj(S, _apply_rows(S, self._hinv_t_rows, c))
 
     def bilinear(self, u, v):
         """The symmetric R-bilinear form n(u,v) = h(u,v) + conj(h(u,v))."""

@@ -20,6 +20,7 @@ from colouralg.algebras import (
 )
 from colouralg.checks import SplitMix64
 from colouralg.errors import NotTraceZero
+from colouralg.graded import GradedAlgebra, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity
 
 Q = rings.RationalField()
@@ -473,3 +474,56 @@ def test_coords_roundtrip_and_rank(A):
         c = A.coords(x)
         assert len(c) == A.rank
         assert A.from_coords(c) == x
+
+
+# ---------------------------------------------------------------- draw order
+
+
+def field_order_draw(A, rng):
+    """Reference draw: the slots in field order, one ``K.sample`` per coefficient."""
+    return A.element(
+        *[K.sample(rng) if n is None else tuple(K.sample(rng) for _ in range(n)) for _, K, n, _ in A._slots]
+    )
+
+
+def _split_families(R):
+    out = [ColSplitAlgebra(R, R.one), ZornAlgebra(R, R.one), WSplitAlgebra(R, R.one)]
+    return out if isinstance(R, rings.PolynomialRing) else out + [GradedAlgebra(GradedSpec(1, 1, 1), R)]
+
+
+def _hermitian_families(S):
+    P = HermitianSpace(S, mat_identity(S), S.one)
+    return [CayleyAlgebra(P), ColHermAlgebra(P), WHermAlgebra(P)]
+
+
+# every family over F7, Z/15 and Q, all but graded (no polynomial base) over F7[t0], and Kummer S
+DRAW_HANDLES = [
+    A
+    for R in (F7, Z15, Q, rings.PolynomialRing(F7, ["t0"]))
+    for A in _split_families(R) + _hermitian_families(etale.SplitTorus(R))
+] + _hermitian_families(etale.KummerExtension(F7, 3))
+
+
+def _draw_id(A):
+    S = getattr(A, "S", None)
+    return f"{A.family}/{A.ring.kind}" + (f"/{S.kind}" if S else "")
+
+
+@pytest.mark.parametrize("A", DRAW_HANDLES, ids=_draw_id)
+def test_draw_order_is_field_order_permuted_into_coordinates(A):
+    seed = 277 + A.rank
+    r1, r2 = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(30):
+        assert A.sample(r1) == field_order_draw(A, r2)
+    assert r1.state == r2.state
+    r1, r2 = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(30):
+        assert A.coords(A.sample(r1)) == A.sample_coords(r2)
+    assert r1.state == r2.state
+
+
+def test_draw_order_covers_seven_families():
+    assert {A.family for A in DRAW_HANDLES} == {
+        "col_split", "zorn", "w_split", "cay_hermitian", "col_hermitian", "w_hermitian", "graded"
+    }
+    assert len(DRAW_HANDLES) == 3 * 7 + 6 + 3

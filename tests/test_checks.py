@@ -741,7 +741,7 @@ def test_planted_scalar_fault_same_counterexample_seeded_and_exhaustive(monkeypa
     A._half = 1  # correct value is inv(2) = 2 mod 3
     exhaustive = checks.run_identity(A, "quadratic-relation", Sampler(mode="exhaustive"))
     stream = A.enumerate_elements()
-    monkeypatch.setattr(A, "sample", lambda rng: next(stream))
+    monkeypatch.setattr(A, "sample_coords", lambda rng: A.coords(next(stream)))
     seeded = checks.run_identity(A, "quadratic-relation", Sampler(count=3**7))
     assert not exhaustive.passed and not seeded.passed
     assert set(exhaustive.counterexample) == {"residual", "index", "inputs"}

@@ -29,7 +29,7 @@ def test_kummer_3_mod_7_is_a_field():
     assert squares == {1, 2, 4} and 3 not in squares
     K = etale.KummerExtension(F7, 3)
     elements = list(K.elements())
-    assert len(elements) == 49 == K.size
+    assert len(elements) == 49 == len(set(elements))
     for x in elements:
         if x != K.zero:
             assert K.is_unit(x)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 
@@ -321,3 +321,147 @@ def test_det3_column_convention():
     for _ in range(60):
         u, v, w = rvec(Q, rng), rvec(Q, rng), rvec(Q, rng)
         assert det3(Q, u, v, w) == perm_det(Q, (u, v, w))
+
+
+# ----- sparse Gram rows against the dense formulas
+
+
+def dense_h(P, u, v):
+    """Reference: sum_ij conj(u_i) H_ij v_j, 18 S-products."""
+    S = P.S
+    t = S.zero
+    for i in range(3):
+        ci = S.conj(u[i])
+        for j in range(3):
+            t = S.add(t, S.mul(S.mul(ci, P.gram[i][j]), v[j]))
+    return t
+
+
+def dense_cross(P, v, w):
+    """Reference: conj(H^-T (alpha C)) with the dense H^-T and the alpha read now."""
+    S = P.S
+    hinv_t = trivec.mat_transpose(trivec.mat_smul(S, S.inv(P.det), trivec.mat_adjugate(S, P.gram)))
+    return trivec.vec_conj(S, trivec.mat_vec(S, hinv_t, vec_smul(S, P.alpha, classical_cross(S, v, w))))
+
+
+def split_from(R, A):
+    """The split space with Gram H_ij = (A_ij, A_ji): det (d, d) for d = det A, alpha (1, 1/d)."""
+    S = etale.SplitTorus(R)
+    gram = tuple(tuple((A[i][j], A[j][i]) for j in range(3)) for i in range(3))
+    return HermitianSpace(S, gram, (R.one, R.inv(trivec.mat_det(R, A))))
+
+
+def kummer_from(gram):
+    """A space over F7[sqrt(3)] with the given Gram and an alpha with n(alpha) det = 1."""
+    K = etale.KummerExtension(F7, 3)
+    d = K.as_scalar(trivec.mat_det(K, gram))
+    return HermitianSpace(K, gram, next(a for a in K.elements() if F7.mul(K.norm(a), d) == F7.one))
+
+
+def det1(R):
+    # [[1, 2, 0], [1, 3, 0], [0, 0, 1]]: the Gram [[1, (2,1), 0], [(1,2), 3, 0], [0, 0, 1]] of det 1
+    o, z, t, h = R.one, R.zero, R.of_int(2), R.of_int(3)
+    return ((o, t, z), (o, h, z), (z, z, o))
+
+
+def alpha_reassigned():
+    P = nontrivial_kummer_space()
+    P.alpha = P.S.add(P.S.one, P.S.one)  # after validation, as the golden and checks tests do
+    return P
+
+
+F7T = rings.PolynomialRing(F7, ["t0"])
+# [[1, t0, 0], [1, t0 + 1, 0], [0, 0, 1]]: det 1
+F7T_GRAM = tuple(tuple(map(F7T.parse, row)) for row in (("1", "t0", "0"), ("1", "t0 + 1", "0"), ("0", "0", "1")))
+
+SPARSE_CASES = {
+    "split/F7/I": lambda: split_space(F7),
+    "split/F7/I,alpha=(3,5)": lambda: split_space(F7, lam=(3, 5)),
+    "split/F7/dense": lambda: split_from(F7, ((1, 2, 3), (4, 5, 6), (0, 1, 1))),
+    "split/Z15/det1": lambda: split_from(rings.IntegersMod(15), det1(rings.IntegersMod(15))),
+    "split/Q/det1": lambda: split_from(Q, det1(Q)),
+    "split/Q/dense": lambda: split_from(Q, tuple(tuple(map(Fraction, r)) for r in ((2, 1, 3), (1, -1, 4), (5, 2, 1)))),
+    "split/F7[t0]/det1": lambda: split_from(F7T, det1(F7T)),
+    "split/F7[t0]/t0": lambda: split_from(F7T, F7T_GRAM),
+    "kummer/F7/I": kummer_space,
+    "kummer/F7/det1": nontrivial_kummer_space,
+    "kummer/F7/dense": lambda: kummer_from(
+        (((1, 0), (1, 1), (2, 3)), ((1, 6), (2, 0), (0, 1)), ((2, 4), (0, 6), (3, 0)))
+    ),
+    "kummer/F7/det1,alpha-reassigned": alpha_reassigned,
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_CASES)
+def test_sparse_h_and_cross_equal_dense_formulas(name):
+    P = SPARSE_CASES[name]()
+    rng = SplitMix64(263)
+    pairs = [(u, v) for u in P.basis() for v in P.basis()]
+    pairs += [(P.sample_vec(rng), P.sample_vec(rng)) for _ in range(60)]
+    for u, v in pairs:
+        assert P.h(u, v) == dense_h(P, u, v)
+        assert P.cross(u, v) == dense_cross(P, u, v)
+
+
+def test_sparse_cases_cover_every_kind_of_entry():
+    # (j, c, fixed): c None for a unit entry, fixed for a conjugation-fixed one, else a general entry
+    kinds = {"zero": 0, "unit": 0, "fixed": 0, "general": 0}
+    for make in SPARSE_CASES.values():
+        P = make()
+        for rows in (P._gram_rows, P._hinv_t_rows):
+            kinds["zero"] += 9 - sum(map(len, rows))
+            for _, c, fixed in chain.from_iterable(rows):
+                kinds["unit" if c is None else "fixed" if fixed else "general"] += 1
+    assert all(kinds.values()), kinds
+    S = etale.SplitTorus(F7)
+    assert trivec._sparse_rows(S, split_from(F7, det1(F7)).gram) == (
+        ((0, None, True), (1, (2, 1), False)),
+        ((0, (1, 2), False), (1, 3, True)),
+        ((2, None, True),),
+    )
+
+
+def test_alpha_is_read_on_every_call():
+    P = nontrivial_kummer_space()
+    e = P.basis()
+    before = P.cross(e[0], e[2])
+    P.alpha = P.S.add(P.S.one, P.S.one)
+    assert P.cross(e[0], e[2]) == vec_smul(P.S, P.S.conj(P.alpha), before) != before
+
+
+@pytest.fixture
+def s_products(monkeypatch):
+    """Counts every S-product (``SplitTorus.mul`` and ``KummerExtension.mul``)."""
+    count = [0]
+    for cls in (etale.SplitTorus, etale.KummerExtension):
+
+        def counted(self, x, y, real=cls.mul):
+            count[0] += 1
+            return real(self, x, y)
+
+        monkeypatch.setattr(cls, "mul", counted)
+    return count
+
+
+def _products(count, fn, *args):
+    count[0] = 0
+    fn(*args)
+    return count[0]
+
+
+@pytest.mark.parametrize("make", [lambda: split_space(F7), lambda: kummer_space()], ids=["split", "kummer"])
+def test_gram_identity_h_and_cross_op_counts(s_products, make):
+    P = make()
+    rng = SplitMix64(269)
+    u, v = P.sample_vec(rng), P.sample_vec(rng)
+    assert _products(s_products, P.h, u, v) == 3
+    assert _products(s_products, P.cross, u, v) == 6
+
+
+@pytest.mark.parametrize("name", ["split/F7/dense", "split/Q/dense", "kummer/F7/dense"])
+def test_dense_gram_h_op_count(s_products, name):
+    P = SPARSE_CASES[name]()
+    assert all(len(row) == 3 for row in P._gram_rows)
+    rng = SplitMix64(271)
+    u, v = P.sample_vec(rng), P.sample_vec(rng)
+    assert _products(s_products, P.h, u, v) <= 12
