@@ -43,7 +43,7 @@ layout the base derives everything that is not the family's own maths:
   order, one per R coefficient (two per S coefficient), and permutes them
   once into coordinate order; ``sample`` is its element, so every stream is
   fixed by the layout;
-* coordinate order: ``coords``, ``from_coords`` and ``enumerate_elements``
+* coordinate order: ``coords`` and ``from_coords``
   run over the slots in ``coord_order`` (field order unless given; Zorn's
   fields are a, u, ud, ap but its coordinates a, ap, u, ud), within a slot
   vector index first, then S component;
@@ -60,7 +60,7 @@ and its maths: ``mul``, ``norm``, ``basis_labels`` and, when unital,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter
 
 from .errors import NotTraceZero, WrongRing
@@ -222,10 +222,6 @@ class Algebra:
             cells = tuple(zip(c[lo:hi:2], c[lo + 1 : hi : 2])) if pair else tuple(c[lo:hi])
             values[name] = cells[0] if n is None else cells
         return self.element(**values)
-
-    def enumerate_elements(self):
-        """Every element, in lexicographic coordinate order."""
-        yield from map(self.from_coords, product(tuple(self.ring.elements()), repeat=self.rank))
 
     def basis(self):
         R = self.ring

@@ -21,7 +21,11 @@ the one a scalar enumeration would give.  Seeded element identities over Z/n
 run on ``_CoordView`` too, fed the draws' coordinate tuples
 (``Algebra.sample_coords``).  So over Z/n the seeded and exhaustive verdicts
 both hold for the bilinear algebra fixed by the basis products, and every
-report comes from the scalar identity.
+report comes from the scalar identity.  Before a seeded call uses a view,
+``_guard`` compares its product, norm and trace with the scalar ones on
+``GUARD_PAIRS`` pairs drawn from a SplitMix64 stream of their own
+(``GUARD_SEED``), so no identity's stream moves; if one pair disagrees, as a
+``mul`` that is not bilinear can make it, the whole call runs scalar draws.
 
 Every checked law is the reduction mod n of an integer polynomial in the
 coordinates of its arguments, of degree at most d in each argument (the
@@ -46,6 +50,24 @@ evaluations for rank r and argument degrees d_m, whatever n is, and that
 estimate is what ``EXHAUSTIVE_WORK`` bounds.  The fixed digits, read in base
 n, are the failing index; ``samples`` counts the inputs the verdict covers:
 every input on a pass, the inputs up to the failing one on a fail.
+
+A seeded element identity is settled on the product of its grids when that
+proves it: it passes, reporting ``samples = count`` without drawing, when
+every grid point agrees.  Over Z/n the grids are the capped L(d) above.  Over
+a ring R where every d_m! is a unit the binomials C(x, a), a in L(d), are
+polynomials over R, and the law is the sum of its forward differences c_a
+times C(x, a) (Newton interpolation on lower sets), so the uncapped L(d)
+(n = 0 in ``_grid``) settles it as a polynomial over R, hence on every
+input.  That covers Q,
+polynomial rings over Q, and polynomial rings over Z/n whose least prime
+exceeds max d_m; a polynomial ring over any other Z/n draws (x^3 - x vanishes
+on F_3, not at t).  When a grid point fails the draws run as if no grid had
+been tried, so a failing report is the draws' own.  Before any work each
+identity takes its grid when |grid| <= w count, with w = ``_points_per_draw``
+the grid points that cost about one draw: 4 over Z/n, whose draws run on the
+view as the grid does, and 16 elsewhere, whose draws run the scalar ``mul``.
+Off Z/n the view is built, and guarded, only when some identity of the call
+takes its grid.
 """
 
 from __future__ import annotations
@@ -53,10 +75,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, product, takewhile
-from math import comb, prod
-from operator import eq, mul
+from functools import lru_cache, reduce
+from itertools import chain, product, repeat, takewhile
+from math import comb, factorial, gcd, prod
+from operator import eq
 
 from .algebras import (
     CayleyAlgebra,
@@ -94,6 +116,15 @@ __all__ = [
 
 # the bound on an exhaustive identity's evaluation estimate (module docstring)
 EXHAUSTIVE_WORK = 10**6
+
+# the pairs on which a seeded coordinate view must agree with the scalar ops (``_guard``), and their seed
+GUARD_PAIRS, GUARD_SEED = 32, 0x6775617264
+
+
+def _points_per_draw(ring) -> int:
+    """w of the seeded grid rule |grid| <= w count: the grid points that cost about as much as one draw
+    (module docstring)."""
+    return 4 if isinstance(ring, IntegersMod) else 16
 
 
 class SplitMix64:
@@ -358,14 +389,20 @@ def suites_for(A) -> list[str]:
 # ------------------------------------------------------------------ drivers
 
 
-def run_identity(A, identity: str, sampler: Sampler, view=None) -> CheckReport:
+_BUILD = object()  # run_identity's default view: chosen for that identity alone
+
+
+def run_identity(A, identity: str, sampler: Sampler, view=_BUILD) -> CheckReport:
     """Check one named identity.  Ungated: the caller chooses applicability.
-    ``view``: A's ``_CoordView`` shared by the caller, else built when needed."""
+    ``view``: the ``_coord_view`` the caller chose for its whole call (None: the scalar path), else
+    chosen for this identity."""
     t0 = time.perf_counter()
     if identity in CROSS_IDENTITIES:
         report = _run_cross_identity(A, identity, sampler)
     elif identity in ELEMENT_IDENTITIES:
-        report = _run_element_identity(A, identity, sampler, view or _coord_view(A, sampler, [identity]))
+        if view is _BUILD:
+            view = _coord_view(A, sampler, [identity])
+        report = _run_element_identity(A, identity, sampler, view)
     else:
         raise SuiteNotApplicable(f"unknown identity {identity!r}")
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -396,7 +433,14 @@ def _run_element_identity(A, identity, sampler, view) -> CheckReport:
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     if sampler.mode == "exhaustive":
         return _colsplit_exhaustive_pairs(A, identity, view)
-    if view is None:
+    grid = None if view is None else _settling_grid(A, identity, sampler.count)
+    if grid:  # a pass on the grids proves the law (module docstring); a failing point leaves it to the draws
+        n, degrees = grid
+        table = [A.ring.of_int(c) for c in range(max(degrees) + 1)]
+        points = product(*[_grid(n, A.rank, d) for d in degrees])
+        if all(eq(*sides(view, *[tuple([table[c] for c in row]) for row in rows])) for rows in points):
+            return CheckReport(identity, sampler.count, True, None)
+    if view is None or not isinstance(A.ring, IntegersMod):  # scalar draws: off Z/n, or the guard refused the view
         cases = draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)])
         return first_failure(identity, cases, lambda xs: eq(*sides(A, *xs)), lambda i, xs: _failure(A, identity, i, xs))
     # the view takes the draws' coordinate tuples; only a failing input becomes elements
@@ -406,12 +450,46 @@ def _run_element_identity(A, identity, sampler, view) -> CheckReport:
 
 
 def _coord_view(A, sampler, names):
-    """A's coordinate view when its element identities run on one, else None: in exhaustive
-    mode once the identities ``names`` are admitted (built after that check), in seeded mode over Z/n."""
+    """The view A's element identities ``names`` run on, or None for the scalar path.  In exhaustive
+    mode it is built once ``names`` are admitted.  In seeded mode it is built over Z/n, where the draws
+    run on it, and elsewhere only when one of ``names`` settles on its grid; it is used only if it
+    passes ``_guard``."""
     if sampler.mode == "exhaustive":
         _require_enumerable(A, names)
         return _CoordView(A)
-    return _CoordView(A) if isinstance(A.ring, IntegersMod) else None
+    if isinstance(A.ring, IntegersMod) or any(_settling_grid(A, name, sampler.count) for name in names):
+        view = _CoordView(A)
+        return view if _guard(A, view) else None
+    return None
+
+
+def _guard(A, view) -> bool:
+    """Whether the view's product, norm and trace equal A's own on ``GUARD_PAIRS`` pairs drawn from a
+    stream of their own.  They come from the class's draw, so a draw hook set on the handle keeps its
+    stream for the identities."""
+    rng, sample = SplitMix64(GUARD_SEED), type(A).sample_coords
+    for _ in range(GUARD_PAIRS):
+        cx, cy = sample(A, rng), sample(A, rng)
+        x = A.from_coords(cx)
+        if A.coords(A.mul(x, A.from_coords(cy))) != view.mul(cx, cy) or A.norm(x) != view.norm(cx):
+            return False
+        if A.unital and A.trace(x) != view.trace(cx):
+            return False
+    return True
+
+
+def _settling_grid(A, identity, count):
+    """``(n, degrees)`` when the grids ``_grid(n, r, d)`` of the identity's argument degrees settle it
+    over A.ring and cost no more than ``count`` draws (module docstring), else None."""
+    arity, sides, _ = ELEMENT_IDENTITIES[identity]
+    degrees = _degrees(sides, arity)
+    n = A.ring.n if isinstance(A.ring, IntegersMod) else 0
+    base = getattr(A.ring, "base", None)
+    if isinstance(base, IntegersMod) and gcd(factorial(max(degrees)), base.n) > 1:
+        return None
+    if prod(_grid_size(n, A.rank, d) for d in degrees) > _points_per_draw(A.ring) * count:
+        return None
+    return n, degrees
 
 
 def _failure(A, identity, index, elems) -> dict:
@@ -450,38 +528,53 @@ def _constants(A):
 
 
 class _CoordView:
-    """An algebra over Z/n on coordinate tuples of plain ints, each output coordinate reduced once.
-    Product row i lists (j, k, C[i][j][k]) for each nonzero structure constant."""
+    """An algebra on coordinate tuples, on its ring's own ops.  Product row i lists (j, k, C[i][j][k])
+    for each nonzero structure constant; a ring's zero is falsy on every ring, so zero coordinates are
+    skipped.  Over Z/n the coordinates are plain ints, summed unreduced and each output coordinate
+    reduced once (``n``, 0 off Z/n)."""
 
     def __init__(self, A):
         C, form, self._trace, self._one = _constants(A)
-        self.n, self.ring, self._zero = A.ring.n, A.ring, (0,) * A.rank
+        R = self.ring = A.ring
+        self.n, self._zero = R.n if isinstance(R, IntegersMod) else 0, (R.zero,) * A.rank
         self._C = [[(j, k, c) for j, p in enumerate(row) for k, c in enumerate(p) if c] for row in C]
         self._Q = [(i, j, q) for i, row in enumerate(form) for j, q in enumerate(row) if q]
 
     def mul(self, x, y):
-        out = [0] * len(x)
+        n = self.n
+        if n:
+            out = [0] * len(x)
+            for xi, row in zip(x, self._C):
+                if xi:
+                    for j, k, c in row:
+                        out[k] += xi * y[j] * c
+            return tuple([v % n for v in out])
+        add, mul = self.ring.add, self.ring.mul
+        out = list(self._zero)
         for xi, row in zip(x, self._C):
             if xi:
                 for j, k, c in row:
-                    out[k] += xi * y[j] * c
-        n = self.n
-        return tuple([v % n for v in out])
+                    if y[j]:
+                        out[k] = add(out[k], mul(mul(xi, y[j]), c))
+        return tuple(out)
 
+    # tuples from lists: a tuple built from an iterator is allocated larger and shrunk
     def add(self, x, y):
-        return tuple([(a + b) % self.n for a, b in zip(x, y)])
+        return tuple([*map(self.ring.add, x, y)])
 
     def sub(self, x, y):
-        return tuple([(a - b) % self.n for a, b in zip(x, y)])
+        return tuple([*map(self.ring.sub, x, y)])
 
     def smul(self, t, x):
-        return tuple([t * a % self.n for a in x])
+        return tuple([*map(self.ring.mul, repeat(t), x)])
 
     def norm(self, x):
-        return sum([q * x[i] * x[j] for i, j, q in self._Q]) % self.n
+        R = self.ring
+        return reduce(R.add, [R.mul(q, R.mul(x[i], x[j])) for i, j, q in self._Q if x[i] and x[j]], R.zero)
 
     def trace(self, x):
-        return sum(map(mul, self._trace, x)) % self.n
+        R = self.ring
+        return reduce(R.add, map(R.mul, self._trace, x), R.zero)
 
     def one(self):
         return self._one
@@ -551,7 +644,10 @@ def _degrees(sides, arity) -> list[int]:
 
 
 def _cap(n, d):
-    """min(d, mu(n) - 1), mu(n) the least m with n | m!, in at most d steps (so for any prime accepted)."""
+    """min(d, mu(n) - 1), mu(n) the least m with n | m!, in at most d steps (so for any prime accepted);
+    d for n = 0, the uncapped grids off Z/n."""
+    if not n:
+        return d
     f = 1
     for m in range(1, d + 1):
         f = f * m % n
@@ -562,8 +658,8 @@ def _cap(n, d):
 
 @lru_cache(maxsize=256)
 def _grid(n, r, d):
-    """L(d) over Z/n as coordinate rows, each coordinate at most ``_cap(n, d)``: it settles degree d
-    (module docstring).  Memoised: the rows are shared, so callers must not change them."""
+    """L(d) over Z/n (uncapped for n = 0) as int coordinate rows, each coordinate at most ``_cap(n, d)``:
+    it settles degree d (module docstring).  Memoised: the rows are shared, so callers must not change them."""
     top, rows = _cap(n, d), [()]
     for _ in range(r):
         rows = [a + (c,) for a in rows for c in range(min(top, d - sum(a)) + 1)]
@@ -632,7 +728,8 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
         if element:
             _require_enumerable(A, element)
         raise ExhaustiveTooLarge("cross identities support seeded sampling only")
-    view = _coord_view(A, sampler, names) if any(name in ELEMENT_IDENTITIES for name in names) else None
+    element = [name for name in names if name in ELEMENT_IDENTITIES]
+    view = _coord_view(A, sampler, element) if element else None
     return [run_identity(A, name, sampler, view) for name in names]
 
 

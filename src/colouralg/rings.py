@@ -531,20 +531,12 @@ class PolynomialRing(Ring):
         (_, c), = a.items()
         return {(0,) * self.nvars: self.base.inv(c)}
 
-    def var(self, name: str):
-        e = [0] * self.nvars
-        e[self._var_index[name]] = 1
-        return {tuple(e): self.base.one}
-
     def degree(self, a) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in a), default=-1)
 
     def is_homogeneous(self, a, degree: int) -> bool:
         return all(sum(e) == degree for e in a)
-
-    def homogeneous_component(self, a, degree: int):
-        return {e: c for e, c in a.items() if sum(e) == degree}
 
     def coefficient(self, a, exps: tuple[int, ...]):
         return a.get(exps, self.base.zero)

@@ -69,9 +69,14 @@ def test_draws_deterministic():
     assert len(xs) == 25
 
 
+def enumerate_elements(A):
+    """Every element of A over Z/n, in lexicographic coordinate order (the order exhaustive indices count)."""
+    return map(A.from_coords, product(tuple(A.ring.elements()), repeat=A.rank))
+
+
 def test_enumerate_elements_count():
     A = algebras.ColSplitAlgebra(F3, 1)
-    elems = list(A.enumerate_elements())
+    elems = list(enumerate_elements(A))
     assert len(elems) == 3**7 == 2187
     assert len(set(elems)) == 2187
 
@@ -427,7 +432,7 @@ def test_quadratic_identity_runs_every_y():
     # y table finds its lowest failing pair, which a scalar enumeration confirms
     A = algebras.WSplitAlgebra(F3, 1)
     report = checks.run_identity(A, "norm-composition", Sampler(mode="exhaustive"))
-    elems = list(A.enumerate_elements())
+    elems = list(enumerate_elements(A))
     _, sides, _ = checks.ELEMENT_IDENTITIES["norm-composition"]
     index = next(
         i * len(elems) + j
@@ -644,7 +649,7 @@ def _view_handles(R):
         algebras.ColSplitAlgebra(R, R.of_int(2)),
         algebras.ZornAlgebra(R, R.of_int(2)),
         algebras.WSplitAlgebra(R, R.one),
-        GradedAlgebra(GradedSpec(1, 1, 1), R),
+        *([] if isinstance(R, rings.PolynomialRing) else [GradedAlgebra(GradedSpec(1, 1, 1), R)]),
         *[cls(P) for P in spaces for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra)],
     ]
 
@@ -740,13 +745,168 @@ def test_planted_scalar_fault_same_counterexample_seeded_and_exhaustive(monkeypa
     A = algebras.ColSplitAlgebra(F3, 1)
     A._half = 1  # correct value is inv(2) = 2 mod 3
     exhaustive = checks.run_identity(A, "quadratic-relation", Sampler(mode="exhaustive"))
-    stream = A.enumerate_elements()
+    stream = enumerate_elements(A)
     monkeypatch.setattr(A, "sample_coords", lambda rng: A.coords(next(stream)))
     seeded = checks.run_identity(A, "quadratic-relation", Sampler(count=3**7))
     assert not exhaustive.passed and not seeded.passed
     assert set(exhaustive.counterexample) == {"residual", "index", "inputs"}
     assert exhaustive.counterexample == seeded.counterexample
     assert exhaustive.samples == seeded.samples
+
+
+F7T = rings.PolynomialRing(F7, ["t0", "t1"])
+QT = rings.PolynomialRing(Q, ["t0"])
+
+
+def _half_one(A):
+    """A with the half weight of its product set to one: a structure-constant fault."""
+    A = copy.copy(A)
+    A._half = A.ring.one
+    return A
+
+
+def _settle_cases():
+    cases = {}
+    for R in (Q, F7, rings.IntegersMod(15), F7T, QT):
+        two, P = R.of_int(2), _twisted_space(etale.SplitTorus(R))
+        handles = [algebras.ColSplitAlgebra(R, two), algebras.ZornAlgebra(R, two), algebras.WSplitAlgebra(R, R.one)]
+        handles += [cls(P) for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra)]
+        cases.update({f"{A.family}/{R.kind}": A for A in handles})
+        if not isinstance(R, rings.PolynomialRing):
+            cases[f"half-one-col_hermitian/{R.kind}"] = _half_one(algebras.ColHermAlgebra(P))
+    P = _twisted_space(etale.KummerExtension(F7, 3))
+    for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra):
+        cases[f"{cls(P).family}/kummer-F7"] = cls(P)
+    cases["graded(1,1,1)/F7"] = GradedAlgebra(GradedSpec(1, 1, 1), F7)
+    for R in (Q, F7, F7T):
+        cases[f"half-one-col_split/{R.kind}"] = _half_one(algebras.ColSplitAlgebra(R, R.one))
+    return cases
+
+
+SETTLE_CASES = _settle_cases()
+
+
+def _threshold(A, identity):
+    """The least count at which a seeded identity settles on its grid: |grid| over the points per draw."""
+    arity, sides, _ = checks.ELEMENT_IDENTITIES[identity]
+    n = A.ring.n if isinstance(A.ring, rings.IntegersMod) else 0
+    size = prod(checks._grid_size(n, A.rank, d) for d in checks._degrees(sides, arity))
+    return -(-size // checks._points_per_draw(A.ring))
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The counts of the seeded draw loops started, in order."""
+    counts, real = [], checks.draws
+    monkeypatch.setattr(checks, "draws", lambda sampler, draw: counts.append(sampler.count) or real(sampler, draw))
+    return counts
+
+
+@pytest.mark.parametrize("name", list(SETTLE_CASES))
+def test_settled_reports_equal_drawn_reports(name, drawn, monkeypatch):
+    # every element identity at one draw and at the count where it settles on
+    # its grid, and the suite at a count that settles some of its identities:
+    # the reports equal those of the draws alone (no grid settles when a grid
+    # point costs a draw's 0 points)
+    A = SETTLE_CASES[name]
+    names = [i for i in checks.ELEMENT_IDENTITIES if A.unital or i != "quadratic-relation"]
+    for i in names:
+        assert checks._settling_grid(A, i, _threshold(A, i) - 1) is None and checks._settling_grid(A, i, _threshold(A, i))
+    runs = [(i, c) for i in names for c in (1, _threshold(A, i))]
+
+    def reports():
+        # one view for the identity runs, chosen as run_suite chooses it for the largest count
+        view = checks._coord_view(A, Sampler(count=max(c for _, c in runs)), names)
+        out = [checks.run_identity(A, i, Sampler(seed=5, count=c), view).to_json() for i, c in runs]
+        return out + [r.to_json() for r in checks.run_suite(A, "all-applicable", Sampler(seed=5, count=20))]
+
+    settled = reports()
+    settled_draws = len(drawn)
+    monkeypatch.setattr(checks, "_points_per_draw", lambda ring: 0)
+    assert reports() == settled
+    assert settled_draws < len(drawn) - settled_draws
+    if name.startswith("half-one"):
+        assert not all(r["pass"] for r in settled)
+
+
+def _cube_of_trace(A, x):
+    """t^3 = t for t = t(x) = 2 x_0 on col_split: of degree 3, and true on F3 alone."""
+    t = A.trace(x)
+    return A.ring.mul(t, A.ring.mul(t, t)), t
+
+
+def test_grid_is_refused_where_it_would_prove_nothing(drawn, monkeypatch):
+    monkeypatch.setitem(checks.ELEMENT_IDENTITIES, "cube-of-trace", (1, _cube_of_trace, checks._x_json))
+    big, F3T = 10**6, rings.PolynomialRing(F3, ["t"])
+    # 3! and 4! are not units in F3[t] and (Z/9)[t]: those laws draw
+    for R, identity in ((F3T, "jordan"), (rings.PolynomialRing(rings.IntegersMod(9), ["t"]), "power-associativity-deg4")):
+        A = algebras.ColSplitAlgebra(R, R.one)
+        assert checks._settling_grid(A, identity, big) is None
+        drawn.clear()
+        assert checks.run_identity(A, identity, Sampler(count=20)).passed and drawn == [20]
+    # over Z/9 itself the capped grid proves it on every input, though 3 divides 4!
+    A = algebras.ColSplitAlgebra(rings.IntegersMod(9), 1)
+    assert checks._settling_grid(A, "power-associativity-deg4", big) == (9, [4])
+    drawn.clear()
+    assert checks.run_identity(A, "power-associativity-deg4", Sampler(count=big)).to_json()["samples"] == big
+    assert drawn == []
+    # the cube law holds on F3 (Fermat) and settles on its capped grid, coordinates at most 2
+    A = algebras.ColSplitAlgebra(F3, 1)
+    assert checks._settling_grid(A, "cube-of-trace", big) == (3, [3])
+    drawn.clear()
+    assert checks.run_identity(A, "cube-of-trace", Sampler(count=big)).passed and drawn == []
+    # over F3[t] it holds on every point of that grid and of the uncapped L(3), yet fails at x_0 = t
+    B = algebras.ColSplitAlgebra(F3T, F3T.one)
+    V, table = checks._CoordView(B), [F3T.of_int(c) for c in range(4)]
+    for n in (3, 0):
+        assert all(eq(*_cube_of_trace(V, tuple([table[c] for c in row]))) for row in checks._grid(n, 7, 3))
+    t = F3T.parse("t")
+    x = B.from_coords([t] + [F3T.zero] * 6)
+    assert not eq(*_cube_of_trace(B, x))
+    assert checks._settling_grid(B, "cube-of-trace", big) is None
+    report = checks.run_identity(B, "cube-of-trace", Sampler(seed=1, count=50))
+    assert not report.passed and drawn == [50]
+
+
+def test_seeded_view_is_built_once_and_only_when_a_grid_settles(monkeypatch):
+    built = []
+    real = checks._constants
+    monkeypatch.setattr(checks, "_constants", lambda A: built.append(A.family) or real(A))
+    # rank 128 over Q at 500 samples: no grid is cheaper than the draws, so no r^2 products
+    big = GradedAlgebra(GradedSpec(31, 31, 1), Q)
+    assert big.rank == 128
+    assert checks._coord_view(big, Sampler(count=500), list(checks.ELEMENT_IDENTITIES)[:5]) is None
+    assert built == []
+    # a product that is not bilinear: the suite builds one view, its guard refuses it,
+    # and every identity draws on the scalar product
+    A = copy.copy(algebras.ColSplitAlgebra(Q, Q.one))
+    bilinear = A.mul
+    A.mul = lambda x, y: A.neg(bilinear(x, y)) if x.a not in (Q.zero, Q.one) else bilinear(x, y)
+    sampler = Sampler(seed=3, count=300)
+    reports = checks.run_suite(A, "all-applicable", sampler)
+    assert built == ["col_split"]
+    assert [r.to_json() for r in reports] == [scalar_report(A, r.identity, sampler).to_json() for r in reports]
+    assert not all(r.passed for r in reports)
+    # a norm or trace off its form (basis values kept) is refused alike
+    for op in ("norm", "trace"):
+        B = copy.copy(algebras.ColSplitAlgebra(Q, Q.one))
+        setattr(B, op, lambda x, form=getattr(B, op): form(x) if x.a in (Q.zero, Q.one) else Q.add(form(x), Q.one))
+        assert not checks._guard(B, checks._CoordView(B))
+
+
+def test_coordinate_view_over_q_and_polynomials_agrees_with_scalar_ops():
+    # the ring-op path of the view: what the guard checks on its 32 pairs, here on every op
+    for R in (Q, F7T, QT):
+        for A in _view_handles(R):
+            V = checks._CoordView(A)
+            for x, y, t in checks.draws(Sampler(seed=9, count=6), lambda rng: (A.sample(rng), A.sample(rng), R.sample(rng))):
+                cx, cy = A.coords(x), A.coords(y)
+                assert V.mul(cx, cy) == A.coords(A.mul(x, y))
+                assert V.add(cx, cy) == A.coords(A.add(x, y)) and V.sub(cx, cy) == A.coords(A.sub(x, y))
+                assert V.smul(t, cx) == A.coords(A.smul(t, x)) and V.norm(cx) == A.norm(x)
+                if A.unital:
+                    assert V.trace(cx) == A.trace(x) and V.one() == A.coords(A.one())
+            assert checks._guard(A, V)
 
 
 def test_generic_exhaustive_loop_detects_planted_failure():

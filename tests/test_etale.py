@@ -39,7 +39,7 @@ def test_kummer_3_mod_7_is_a_field():
 def test_kummer_requires_unit_parameter():
     poly = rings.PolynomialRing(Q, ["t0"])
     with pytest.raises(NotAUnit):
-        etale.KummerExtension(poly, poly.var("t0"))
+        etale.KummerExtension(poly, poly.parse("t0"))
 
 
 def test_conj_examples():

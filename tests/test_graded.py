@@ -82,13 +82,13 @@ def test_n1_shortcut_disagrees():
 def test_worked_product_top_slot():
     A = GradedAlgebra(GradedSpec(1, 1, 1), Q)
     P = A.poly
-    x = A.from_polys(Q.zero, P.var("t0"), P.zero, P.zero)
-    y = A.from_polys(Q.zero, P.zero, P.var("t1"), P.zero)
+    x = A.from_polys(Q.zero, P.parse("t0"), P.zero, P.zero)
+    y = A.from_polys(Q.zero, P.zero, P.parse("t1"), P.zero)
     p = A.mul(x, y)
-    assert A.polys_of(p) == (P.zero, P.zero, P.mul(P.var("t0"), P.var("t1")))
+    assert A.polys_of(p) == (P.zero, P.zero, P.mul(P.parse("t0"), P.parse("t1")))
     assert p.a == Q.zero
     q = A.mul(y, x)
-    assert A.polys_of(q) == (P.zero, P.zero, P.neg(P.mul(P.var("t0"), P.var("t1"))))
+    assert A.polys_of(q) == (P.zero, P.zero, P.neg(P.mul(P.parse("t0"), P.parse("t1"))))
 
 
 def test_unit_law_and_quadratic_relation():

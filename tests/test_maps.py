@@ -595,7 +595,7 @@ def test_hand_built_map_stays_on_draws(no_draws):
         maps.is_homomorphism(m, Sampler(seed=1, count=3))
 
 
-def test_non_bilinear_product_fault_is_left_to_scalar_draws(monkeypatch):
+def test_non_bilinear_product_fault_is_sent_to_scalar_draws_by_the_guard(monkeypatch):
     # negating w_split products whose x.u[0] is off {0, 1, 2} spares every
     # basis pair of a diag(2, 1, 1) map, so the settled check passes: the
     # settlement trusts the product to be bilinear.  Scalar draws see the fault.
@@ -615,6 +615,15 @@ def test_non_bilinear_product_fault_is_left_to_scalar_draws(monkeypatch):
             "identity": "homomorphism:diagonal", "samples": 300, "pass": True, "counterexample": None
         }
         assert not maps.is_homomorphism(replace(m, linear=False), sampler).passed
-    # over Q the element-identity suites draw on the scalar product; over F7 cross-construction does
-    assert not all(r.passed for r in checks.run_suite(WSplitAlgebra(Q, Q.of_int(2)), "all-applicable", sampler))
+        # the view is built from basis products, which the fault spares; its guard
+        # sees the difference and sends the element-identity suites to scalar draws
+        A = WSplitAlgebra(R, two)
+        assert not checks._guard(A, checks._CoordView(A))
+        assert not all(r.passed for r in checks.run_suite(A, "all-applicable", sampler))
     assert not checks.cross_construction_check(F7, 3, sampler).passed
+    # over Q at this count both identities settle on their grids, whose coordinates
+    # (at most the degree, 3) the fault spares: without the guard the suite passes
+    A = WSplitAlgebra(Q, Q.of_int(2))
+    assert all(checks._settling_grid(A, name, sampler.count) for name in ("anticommutative", "quartic"))
+    monkeypatch.setattr(checks, "_guard", lambda A, view: True)
+    assert all(r.passed for r in checks.run_suite(A, "all-applicable", sampler))
