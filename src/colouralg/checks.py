@@ -17,11 +17,12 @@ rings), before any work refused past a fixed bound on the evaluations it may
 take.  Every element identity of every family runs there on the algebra's
 structure constants, one coordinate tuple at a time (``_CoordView``); the
 report at the lowest failing index comes from the scalar identity, so it is
-the one a scalar enumeration would give.  Seeded element identities over Z/n
-run on ``_CoordView`` too, fed the draws' coordinate tuples
-(``Algebra.sample_coords``).  So over Z/n the seeded and exhaustive verdicts
-both hold for the bilinear algebra fixed by the basis products, and every
-report comes from the scalar identity.  Before a seeded call uses a view,
+the one a scalar enumeration would give.  One draw loop runs every seeded
+element identity: over Z/n it feeds the draws' coordinate tuples
+(``Algebra.sample_coords``) to the view, elsewhere the drawn elements to the
+handle.  So over Z/n the seeded and exhaustive verdicts both hold for the
+bilinear algebra fixed by the basis products, and every report comes from
+the scalar identity.  Before a seeded call uses a view,
 ``_guard`` compares its product, norm and trace with the scalar ones on
 ``GUARD_PAIRS`` pairs drawn from a SplitMix64 stream of their own
 (``GUARD_SEED``), so no identity's stream moves; if one pair disagrees, as a
@@ -49,7 +50,9 @@ identity costs at most (1 + sum_m r (min(d_m, mu(n) - 1) + 1)) prod_m |L(d_m)|
 evaluations for rank r and argument degrees d_m, whatever n is, and that
 estimate is what ``EXHAUSTIVE_WORK`` bounds.  The fixed digits, read in base
 n, are the failing index; ``samples`` counts the inputs the verdict covers:
-every input on a pass, the inputs up to the failing one on a fail.
+every input on a pass, the inputs up to the failing one on a fail.  One grid
+pass, ``_fails``, serves this pass, every step of the descent and the seeded
+settlement below.
 
 A seeded element identity is settled on the product of its grids when that
 proves it: it passes, reporting ``samples = count`` without drawing, when
@@ -58,16 +61,15 @@ a ring R where every d_m! is a unit the binomials C(x, a), a in L(d), are
 polynomials over R, and the law is the sum of its forward differences c_a
 times C(x, a) (Newton interpolation on lower sets), so the uncapped L(d)
 (n = 0 in ``_grid``) settles it as a polynomial over R, hence on every
-input.  That covers Q,
-polynomial rings over Q, and polynomial rings over Z/n whose least prime
-exceeds max d_m; a polynomial ring over any other Z/n draws (x^3 - x vanishes
-on F_3, not at t).  When a grid point fails the draws run as if no grid had
-been tried, so a failing report is the draws' own.  Before any work each
-identity takes its grid when |grid| <= w count, with w = ``_points_per_draw``
-the grid points that cost about one draw: 4 over Z/n, whose draws run on the
-view as the grid does, and 16 elsewhere, whose draws run the scalar ``mul``.
-Off Z/n the view is built, and guarded, only when some identity of the call
-takes its grid.
+input.  That covers Q, polynomial rings over Q, and polynomial rings over
+Z/n whose least prime exceeds max d_m; a polynomial ring over any other Z/n
+draws (x^3 - x vanishes on F_3, not at t).  When a grid point fails the
+draws run as if no grid had been tried, so a failing report is the draws'
+own.  Before any work each identity takes its grid when |grid| <= w count,
+with w = ``_points_per_draw`` the grid points that cost about one draw: 4
+over Z/n, whose draws run on the view as the grid does, and 16 elsewhere,
+whose draws run the scalar ``mul``.  Off Z/n the view is built, and guarded,
+only when some identity of the call takes its grid.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, product, repeat, takewhile
+from itertools import chain, product, repeat
 from math import comb, factorial, gcd, prod
 from operator import eq
 
@@ -93,7 +95,7 @@ from .algebras import (
 from .errors import ExhaustiveTooLarge, SuiteNotApplicable
 from .etale import SplitTorus
 from .rings import IntegersMod, Ring
-from .trivec import HermitianSpace, det3, vec_add, vec_smul
+from .trivec import HermitianSpace, det3, mat_identity, vec_add, vec_smul
 
 __all__ = [
     "SplitMix64",
@@ -434,19 +436,15 @@ def _run_element_identity(A, identity, sampler, view) -> CheckReport:
     if sampler.mode == "exhaustive":
         return _colsplit_exhaustive_pairs(A, identity, view)
     grid = None if view is None else _settling_grid(A, identity, sampler.count)
-    if grid:  # a pass on the grids proves the law (module docstring); a failing point leaves it to the draws
-        n, degrees = grid
-        table = [A.ring.of_int(c) for c in range(max(degrees) + 1)]
-        points = product(*[_grid(n, A.rank, d) for d in degrees])
-        if all(eq(*sides(view, *[tuple([table[c] for c in row]) for row in rows])) for rows in points):
-            return CheckReport(identity, sampler.count, True, None)
-    if view is None or not isinstance(A.ring, IntegersMod):  # scalar draws: off Z/n, or the guard refused the view
-        cases = draws(sampler, lambda rng: [A.sample(rng) for _ in range(arity)])
-        return first_failure(identity, cases, lambda xs: eq(*sides(A, *xs)), lambda i, xs: _failure(A, identity, i, xs))
-    # the view takes the draws' coordinate tuples; only a failing input becomes elements
-    cases = draws(sampler, lambda rng: [A.sample_coords(rng) for _ in range(arity)])
-    describe = lambda i, cs: _failure(A, identity, i, list(map(A.from_coords, cs)))  # noqa: E731
-    return first_failure(identity, cases, lambda cs: eq(*sides(view, *cs)), describe)
+    if grid and not _fails(view, sides, *grid):  # a pass on the grids proves the law (module docstring)
+        return CheckReport(identity, sampler.count, True, None)
+    if view is not None and view.n:  # over Z/n the view takes the draws' coordinate tuples
+        handle, sample, elements = view, A.sample_coords, lambda cs: [*map(A.from_coords, cs)]
+    else:  # scalar draws: off Z/n, or the guard refused the view
+        handle, sample, elements = A, A.sample, list
+    cases = draws(sampler, lambda rng: [sample(rng) for _ in range(arity)])
+    describe = lambda i, xs: _failure(A, identity, i, elements(xs))  # noqa: E731
+    return first_failure(identity, cases, lambda xs: eq(*sides(handle, *xs)), describe)
 
 
 def _coord_view(A, sampler, names):
@@ -536,7 +534,7 @@ class _CoordView:
     def __init__(self, A):
         C, form, self._trace, self._one = _constants(A)
         R = self.ring = A.ring
-        self.n, self._zero = R.n if isinstance(R, IntegersMod) else 0, (R.zero,) * A.rank
+        self.n, self.rank, self._zero = R.n if isinstance(R, IntegersMod) else 0, A.rank, (R.zero,) * A.rank
         self._C = [[(j, k, c) for j, p in enumerate(row) for k, c in enumerate(p) if c] for row in C]
         self._Q = [(i, j, q) for i, row in enumerate(form) for j, q in enumerate(row) if q]
 
@@ -687,6 +685,18 @@ def _require_enumerable(A, names) -> None:
             raise ExhaustiveTooLarge(f"{name} needs an estimated {work} evaluations, past the bound {EXHAUSTIVE_WORK}")
 
 
+def _fails(view, sides, n, degrees, prefix=()) -> bool:
+    """Whether ``sides`` disagrees on the view somewhere on the product of its arguments' grids ``_grid(n, r, d)``
+    with leading coordinates ``prefix``.  Off Z/n (n = 0) the int rows are read through one table of constants."""
+    r = view.rank
+    heads = [prefix[m * r : (m + 1) * r] for m in range(len(degrees))]
+    grids = [[h + t for t in _grid(n, r - len(h), d)] for h, d in zip(heads, degrees)]
+    if not n:
+        table = [view.ring.of_int(c) for c in range(max(degrees) + 1)]
+        grids = [[tuple([table[c] for c in row]) for row in rows] for rows in grids]
+    return not all(eq(*sides(view, *xs)) for xs in product(*grids))
+
+
 def _colsplit_exhaustive_pairs(A, identity: str, view) -> CheckReport:
     """Exhaustive driver for every family, arity and Z/n: a pass on the capped grids, then a descent
     that tries each coordinate only up to its argument's cap (module docstring).
@@ -695,18 +705,11 @@ def _colsplit_exhaustive_pairs(A, identity: str, view) -> CheckReport:
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
     n, r = A.ring.n, A.rank
     degrees = _degrees(sides, arity)
-
-    def fails(prefix):
-        """Whether the law disagrees at some input whose leading coordinates are ``prefix``."""
-        heads = [prefix[m * r : (m + 1) * r] for m in range(arity)]
-        grids = [[h + t for t in _grid(n, r - len(h), d)] for h, d in zip(heads, degrees)]
-        return not all(eq(*sides(view, *xs)) for xs in product(*grids))
-
-    if not fails(()):
+    if not _fails(view, sides, n, degrees):
         return CheckReport(identity, n ** (arity * r), True, None)
     prefix, index = (), 0
-    for position in range(arity * r):
-        c = next(c for c in range(_cap(n, degrees[position // r]) + 1) if fails(prefix + (c,)))
+    for cap in [_cap(n, d) for d in degrees for _ in range(r)]:  # each coordinate's, in enumeration order
+        c = next(c for c in range(cap + 1) if _fails(view, sides, n, degrees, prefix + (c,)))
         prefix, index = prefix + (c,), index * n + c
     elems = [A.from_coords(prefix[m * r : (m + 1) * r]) for m in range(arity)]
     return CheckReport(identity, index + 1, False, _failure(A, identity, index, elems))
@@ -722,13 +725,12 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
         raise SuiteNotApplicable(f"suite {suite!r} does not apply to {A.family}")
     else:
         names = SUITES[suite]
-    if sampler.mode == "exhaustive" and any(name in CROSS_IDENTITIES for name in names):
-        # fail before any work, with the error that running the identities in order would raise first
-        element = list(takewhile(ELEMENT_IDENTITIES.__contains__, names))
+    element = [name for name in names if name in ELEMENT_IDENTITIES]
+    if sampler.mode == "exhaustive" and len(element) < len(names):
+        # fail before any work, with the error that running them in order would raise: cross identities run last
         if element:
             _require_enumerable(A, element)
         raise ExhaustiveTooLarge("cross identities support seeded sampling only")
-    element = [name for name in names if name in ELEMENT_IDENTITIES]
     view = _coord_view(A, sampler, element) if element else None
     return [run_identity(A, name, sampler, view) for name in names]
 
@@ -738,11 +740,10 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
 
 def _split_space(ring: Ring, lam, corrupt_gram: bool) -> HermitianSpace:
     S = SplitTorus(ring)
-    z, o = S.zero, S.one
-    gram = [[o, z, z], [z, o, z], [z, z, o]]
+    gram = [list(row) for row in mat_identity(S)]
     alpha = (lam, ring.inv(lam))
     if corrupt_gram:
-        gram[2][2] = S.neg(o)
+        gram[2][2] = S.neg(S.one)
         alpha = (ring.neg(lam), ring.inv(lam))
     return HermitianSpace(S, gram, alpha)
 
@@ -808,10 +809,7 @@ def cay_zorn_check(ring: Ring) -> CheckReport:
     element x agrees, compared at x's last pair after its product.
     """
     t0 = time.perf_counter()
-    S = SplitTorus(ring)
-    z, o = S.zero, S.one
-    space = HermitianSpace(S, [[o, z, z], [z, o, z], [z, z, o]], S.one)
-    cay = CayleyAlgebra(space)
+    cay = CayleyAlgebra(_split_space(ring, ring.one, False))
     zorn = ZornAlgebra(ring, ring.one)
 
     def phi(x):

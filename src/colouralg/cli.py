@@ -107,6 +107,9 @@ def build_algebra(config: dict):
         return cls(space)
     if kind == "graded":
         spec = GradedSpec(*(spec_int(cons, k) for k in ("l", "m", "n")))
+        # the rank exceeds every degree, as C(l+n, n) > max(l, n): refuse large ones before any binomial
+        if max(spec.l, spec.m, spec.n) >= GRADED_RANK_LIMIT:
+            raise BadDegrees(f"graded degrees must be below the rank limit {GRADED_RANK_LIMIT}")
         rank = graded_rank(spec)
         if rank > GRADED_RANK_LIMIT:
             raise BadDegrees(f"graded rank {rank} exceeds the limit {GRADED_RANK_LIMIT}")

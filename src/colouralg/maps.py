@@ -43,10 +43,11 @@ from .errors import (
 )
 from .trivec import (
     HermitianSpace,
+    mat_cofactor,
     mat_conj,
     mat_det,
-    mat_inv,
     mat_mul,
+    mat_smul,
     mat_transpose,
     mat_vec,
     vec_neg,
@@ -114,7 +115,7 @@ def diagonal_iso(domain, phi, lam_prime, check: bool = True) -> AlgebraMap:
         raise MorphismConditionFailed(
             f"det(phi) * lam' = {R.format(R.mul(det, lam_prime))}, expected lam = {R.format(domain.lam)}"
         )
-    phi_inv_t = mat_transpose(mat_inv(R, phi))
+    phi_inv_t = mat_smul(R, R.inv(det), mat_cofactor(R, phi))
     codomain = type(domain)(R, lam_prime)
     fn = _transport(codomain, u=lambda x: mat_vec(R, phi, x.u), ud=lambda x: mat_vec(R, phi_inv_t, x.ud))
     return AlgebraMap("diagonal", domain, codomain, fn, {"phi": phi, "lam_prime": lam_prime}, linear=True)

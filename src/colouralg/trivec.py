@@ -20,8 +20,10 @@ and the hermitian cross product is the unique p = v x w with
 
     h(p, u) = alpha * det(u | v | w)   for all u,
 
-concretely ``p = conj(H^-T (alpha * C))`` where C is the classical cofactor
-column of (v, w).
+concretely ``p = conj(H^-T (alpha * C))`` where C is the classical cross
+product of (v, w).  H^-T is cof(H) / det(H), and row i of the cofactor matrix
+cof(H) is the classical cross product of the other two Gram rows, so the whole
+construction runs on that one product, over any ring.
 
 Both run on the nonzero entries of H and H^-T, kept as sparse rows: a unit
 entry is added as it is, a conjugation-fixed one scaled by its R value
@@ -53,7 +55,7 @@ __all__ = [
     "mat_transpose",
     "mat_conj",
     "mat_det",
-    "mat_adjugate",
+    "mat_cofactor",
     "mat_identity",
     "mat_smul",
     "Trivialization",
@@ -143,24 +145,12 @@ def mat_smul(K, s, M):
 
 
 def mat_det(K, M):
-    cols = mat_transpose(M)
-    return det3(K, cols[0], cols[1], cols[2])
+    return pairing(K, M[0], classical_cross(K, M[1], M[2]))
 
 
-def mat_adjugate(K, M):
-    """Adjugate matrix: M * adj(M) = det(M) * I.  Valid over any ring."""
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        a = M[rows[0]][cols[0]]
-        b = M[rows[0]][cols[1]]
-        c = M[rows[1]][cols[0]]
-        d = M[rows[1]][cols[1]]
-        m = K.sub(K.mul(a, d), K.mul(b, c))
-        return m if (i + j) % 2 == 0 else K.neg(m)
-
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+def mat_cofactor(K, M):
+    """Row i is the cross product of rows i + 1 and i + 2 (mod 3), so M cof(M)^T = det(M) I over any ring."""
+    return tuple(classical_cross(K, M[(i + 1) % 3], M[(i + 2) % 3]) for i in range(3))
 
 
 def _sparse_rows(S: EtaleAlgebra, M):
@@ -190,15 +180,6 @@ def _apply_rows(S: EtaleAlgebra, rows, x):
             t = y if t is None else add(t, y)
         out.append(t)
     return out
-
-
-def mat_inv(K, M):
-    """Inverse via adjugate over det; requires det(M) to be a unit."""
-    d = mat_det(K, M)
-    if not K.is_unit(d):
-        raise NotAUnit("matrix determinant is not a unit")
-    dinv = K.inv(d)
-    return mat_smul(K, dinv, mat_adjugate(K, M))
 
 
 # ------------------------------------------------------- trivializations
@@ -256,9 +237,9 @@ class HermitianSpace:
         self.gram = gram
         self.alpha = alpha
         self.det = det
-        # H and H^-T (via the adjugate, valid over rings with zero divisors) on their nonzero entries
+        # H and H^-T = cof(H) / det(H) on their nonzero entries
         self._gram_rows = _sparse_rows(S, gram)
-        self._hinv_t_rows = _sparse_rows(S, mat_transpose(mat_smul(S, S.inv(det), mat_adjugate(S, gram))))
+        self._hinv_t_rows = _sparse_rows(S, mat_smul(S, S.inv(det), mat_cofactor(S, gram)))
 
     def h(self, u, v):
         """h(u, v) = sum_i conj(u_i) (H v)_i; conjugate-linear in u."""
@@ -277,17 +258,14 @@ class HermitianSpace:
 
     def bilinear(self, u, v):
         """The symmetric R-bilinear form n(u,v) = h(u,v) + conj(h(u,v))."""
-        x = self.h(u, v)
-        return self.S.as_scalar(self.S.add(x, self.S.conj(x)))
+        return self.S.trace(self.h(u, v))
 
     def norm_vec(self, v):
         """n(v) = h(v, v), conjugation-fixed, returned as an R payload."""
         return self.S.as_scalar(self.h(v, v))
 
     def basis(self):
-        S = self.S
-        z, o = S.zero, S.one
-        return [(o, z, z), (z, o, z), (z, z, o)]
+        return list(mat_identity(self.S))
 
     def sample_vec(self, rng):
         S = self.S

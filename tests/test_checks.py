@@ -552,6 +552,10 @@ def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkey
     col = algebras.ColHermAlgebra(HermitianSpace(SQ, mat_identity(SQ), SQ.one))
     with pytest.raises(ExhaustiveTooLarge, match="^col_hermitian over Q is not enumerable$"):
         checks.run_suite(col, "all-applicable", Sampler(mode="exhaustive"))
+    # the cross suite alone has no element identity to refuse first
+    w = algebras.WHermAlgebra(HermitianSpace(SQ, mat_identity(SQ), SQ.one))
+    with pytest.raises(ExhaustiveTooLarge, match="^cross identities support seeded sampling only$"):
+        checks.run_suite(w, "herm-cross", Sampler(mode="exhaustive"))
     # and an element identity ahead of the cross identities is refused past the bound
     monkeypatch.setattr(checks, "EXHAUSTIVE_WORK", 1000)
     with pytest.raises(ExhaustiveTooLarge, match="^flexible needs an estimated 16605 evaluations, past the bound 1000$"):

@@ -568,6 +568,15 @@ def test_graded_rank_limit_exit_two(tmp_path, command):
     assert json.loads(proc.stderr) == {"error": "BadDegrees", "message": "graded rank 236 exceeds the limit 128"}
 
 
+def test_graded_large_degrees_refused_before_the_rank_is_computed(tmp_path):
+    # C(2 * 10^6, 10^6) alone would take minutes; a degree past the limit is refused at once
+    cfg = write(tmp_path, "g.json", {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 10**6, "m": 1, "n": 10**6}})
+    proc = subprocess.run([sys.executable, "-m", "colouralg", "build", cfg], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "BadDegrees", "message": "graded degrees must be below the rank limit 128"}
+
+
 @pytest.mark.parametrize(
     "p, rc",
     [(1000000000000000003, 0), (2**89 - 1, 2)],

@@ -299,21 +299,26 @@ def test_nondiagonal_split_gram_with_det_minus_one():
 
 
 def test_matrix_helpers_against_oracles():
-    rng = SplitMix64(251)
-    for _ in range(50):
-        M = tuple(tuple(Q.sample(rng) for _ in range(3)) for _ in range(3))
-        cols = tuple(tuple(M[i][j] for i in range(3)) for j in range(3))
-        assert trivec.mat_det(Q, M) == perm_det(Q, cols)
-        adj = trivec.mat_adjugate(Q, M)
-        prod = trivec.mat_mul(Q, M, adj)
-        d = trivec.mat_det(Q, M)
-        expected = tuple(
-            tuple(d if i == j else Q.zero for j in range(3)) for i in range(3)
-        )
-        assert prod == expected
-        if Q.is_unit(d):
-            inv = trivec.mat_inv(Q, M)
-            assert trivec.mat_mul(Q, M, inv) == mat_identity(Q)
+    # over Z/15 some determinants are zero divisors: M cof(M)^T = det(M) I holds all the same
+    for K in (Q, rings.IntegersMod(15)):
+        rng = SplitMix64(251)
+        units = 0
+        for _ in range(50):
+            M = tuple(tuple(K.sample(rng) for _ in range(3)) for _ in range(3))
+            cols = tuple(tuple(M[i][j] for i in range(3)) for j in range(3))
+            assert trivec.mat_det(K, M) == perm_det(K, cols)
+            cof_t = trivec.mat_transpose(trivec.mat_cofactor(K, M))
+            d = trivec.mat_det(K, M)
+            expected = tuple(
+                tuple(d if i == j else K.zero for j in range(3)) for i in range(3)
+            )
+            assert trivec.mat_mul(K, M, cof_t) == expected
+            assert cof_t == minors_adjugate(K, M)
+            if K.is_unit(d):
+                units += 1
+                inv = trivec.mat_smul(K, K.inv(d), cof_t)
+                assert trivec.mat_mul(K, M, inv) == mat_identity(K) == trivec.mat_mul(K, inv, M)
+        assert units == 50 if K is Q else 0 < units < 50
 
 
 def test_det3_column_convention():
@@ -337,10 +342,24 @@ def dense_h(P, u, v):
     return t
 
 
+def minors_adjugate(K, M):
+    """Reference adjugate from the 2x2 minors: M adj(M) = det(M) I over any ring."""
+
+    def cof(i, j):
+        rows = [r for r in range(3) if r != i]
+        cols = [c for c in range(3) if c != j]
+        a, b = M[rows[0]][cols[0]], M[rows[0]][cols[1]]
+        c, d = M[rows[1]][cols[0]], M[rows[1]][cols[1]]
+        m = K.sub(K.mul(a, d), K.mul(b, c))
+        return m if (i + j) % 2 == 0 else K.neg(m)
+
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
 def dense_cross(P, v, w):
-    """Reference: conj(H^-T (alpha C)) with the dense H^-T and the alpha read now."""
+    """Reference: conj(H^-T (alpha C)) with the dense H^-T from the minors and the alpha read now."""
     S = P.S
-    hinv_t = trivec.mat_transpose(trivec.mat_smul(S, S.inv(P.det), trivec.mat_adjugate(S, P.gram)))
+    hinv_t = trivec.mat_transpose(trivec.mat_smul(S, S.inv(P.det), minors_adjugate(S, P.gram)))
     return trivec.vec_conj(S, trivec.mat_vec(S, hinv_t, vec_smul(S, P.alpha, classical_cross(S, v, w))))
 
 
