@@ -329,6 +329,7 @@ def test_malformed_map_exit_two(tmp_path, name):
 
 _F7 = {"kind": "Fp", "p": 7}
 _FAMILY_CONFIGS = {
+    "col_split": {"ring": _F7, "construction": {"kind": "col_split", "lam": "1"}},
     "zorn": {"ring": _F7, "construction": {"kind": "zorn", "lam": "1"}},
     "w_split": {"ring": _F7, "construction": {"kind": "w_split", "lam": "1"}},
     "graded": {"ring": _F7, "construction": {"kind": "graded", "l": 1, "m": 1, "n": 1}},
@@ -345,8 +346,8 @@ _SPLIT_MAPS = {
     "cube-root": {"kind": "cube-root", "mu": "2"},
     "diagonal": {"kind": "diagonal", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "lam_prime": "1"},
 }
-# a lift applies to the one hermitian family it lifts to
-_LIFT_MAPS = {kind: {"kind": kind, "matrix": _S_IDENTITY} for kind in ("G-phi", "H-phi")}
+# a lift applies to the one hermitian family it lifts to, a derivation to the hermitian families
+_LIFT_MAPS = {kind: {"kind": kind, "matrix": _S_IDENTITY} for kind in ("G-phi", "H-phi", "derivation")}
 _MISFITS = [
     *[(kind, family) for kind in _SPLIT_MAPS for family in ("cay_hermitian", "col_hermitian", "w_hermitian", "graded")],
     ("dual", "w_split"),
@@ -355,6 +356,7 @@ _MISFITS = [
     ("G-phi", "w_hermitian"),
     ("H-phi", "col_hermitian"),
     ("H-phi", "w_hermitian"),
+    *[("derivation", family) for family in ("col_split", "zorn", "w_split", "graded")],
 ]
 
 
@@ -371,6 +373,37 @@ def test_map_kind_not_for_family_exit_two(tmp_path, capsys, kind, family):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == "SuiteNotApplicable"
+
+
+@pytest.mark.parametrize("family", ["graded", "w_hermitian"])
+def test_map_check_identity_custom_table_on_any_family(tmp_path, capsys, family):
+    # custom maps apply to every family, graded and vector algebras included
+    from colouralg import cli
+
+    rank = {"graded": 8, "w_hermitian": 6}[family]
+    ident = [["1" if i == j else "0" for j in range(rank)] for i in range(rank)]
+    cfg = write(tmp_path, "c.json", _FAMILY_CONFIGS[family])
+    rc = cli.main(["map-check", cfg, write(tmp_path, "m.json", {"kind": "custom", "table": ident}), "--samples", "5"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert json.loads(out)["pass"]
+
+
+def test_map_check_g_phi_into_another_trivialization(tmp_path, capsys):
+    # the transposition has det -1, so it lifts into the space with alpha' = -alpha and not into (P, h, alpha)
+    from colouralg import cli
+
+    swap = [[_S_ZERO, _S_ONE, _S_ZERO], [_S_ONE, _S_ZERO, _S_ZERO], [_S_ZERO, _S_ZERO, _S_ONE]]
+    cfg = write(tmp_path, "c.json", _HERM_F5)
+    mp = write(tmp_path, "m.json", {"kind": "G-phi", "matrix": swap, "alpha_prime": ["4", "4"]})
+    assert cli.main(["map-check", cfg, mp, "--samples", "20"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["samples"] == 21
+    mp = write(tmp_path, "m.json", {"kind": "G-phi", "matrix": swap})
+    assert cli.main(["map-check", cfg, mp, "--samples", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "MorphismConditionFailed"
 
 
 def test_mul_graded_worked_example(tmp_path):
