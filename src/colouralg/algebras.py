@@ -198,9 +198,6 @@ class Algebra:
             *[tuple(map(op, repeat(r), get(x))) if vec else op(r, get(x)) for get, op, vec in self._smul]
         )
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def sample(self, rng):
         return self.from_coords(self.sample_coords(rng))
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import checks, maps
 from .algebras import (
@@ -44,33 +45,30 @@ from .graded import GradedAlgebra, GradedSpec, graded_rank, n1_shortcut_report, 
 from .rings import make_ring, spec_int
 from .trivec import HermitianSpace
 
-__all__ = ["main", "build_algebra", "load_config"]
+__all__ = ["main", "build_algebra", "load_object"]
 
-_SPLIT_KINDS = {"col_split", "zorn", "w_split"}
-_HERM_KINDS = {"cay_hermitian", "col_hermitian", "w_hermitian"}
-
-# map kind -> the construction kinds it applies to, as checks.APPLICABLE gates suites
-MAP_FAMILIES = {
-    "dual": {"col_split"},
-    "cube-root": _SPLIT_KINDS,
-    "diagonal": _SPLIT_KINDS,
-    "custom": set(checks.APPLICABLE),
-    "derivation": _HERM_KINDS,
-    "G-phi": {"col_hermitian"},
-    "H-phi": {"cay_hermitian"},
-}
+# construction kind -> algebra class, built from (ring, lam) and from a hermitian space
+_SPLIT_CLASSES = {"col_split": ColSplitAlgebra, "zorn": ZornAlgebra, "w_split": WSplitAlgebra}
+_HERM_CLASSES = {"cay_hermitian": CayleyAlgebra, "col_hermitian": ColHermAlgebra, "w_hermitian": WHermAlgebra}
 
 # build prints rank^2 products and graded-info's radical analysis grows like
 # rank^3; at rank 125 they take about 1 s and 8 s
 GRADED_RANK_LIMIT = 128
 
 
-def load_config(path: str) -> dict:
+def load_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise BadSpec("the config must be a JSON object")
-    return config
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer of more digits than sys.get_int_max_str_digits() allows
+        raise BadSpec(f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
+    if not isinstance(data, dict):
+        raise BadSpec(f"{what} must be a JSON object")
+    return data
 
 
 def _space_from_config(ring, cons: dict) -> HermitianSpace:
@@ -93,18 +91,10 @@ def build_algebra(config: dict):
     kind = cons["kind"]
     if not isinstance(kind, str):
         raise BadSpec(f"the construction kind must be a string, got {kind!r}")
-    if kind in _SPLIT_KINDS:
-        lam = ring.parse(str(cons.get("lam", "1")))
-        cls = {"col_split": ColSplitAlgebra, "zorn": ZornAlgebra, "w_split": WSplitAlgebra}[kind]
-        return cls(ring, lam)
-    if kind in _HERM_KINDS:
-        space = _space_from_config(ring, cons)
-        cls = {
-            "cay_hermitian": CayleyAlgebra,
-            "col_hermitian": ColHermAlgebra,
-            "w_hermitian": WHermAlgebra,
-        }[kind]
-        return cls(space)
+    if kind in _SPLIT_CLASSES:
+        return _SPLIT_CLASSES[kind](ring, ring.parse(str(cons.get("lam", "1"))))
+    if kind in _HERM_CLASSES:
+        return _HERM_CLASSES[kind](_space_from_config(ring, cons))
     if kind == "graded":
         spec = GradedSpec(*(spec_int(cons, k) for k in ("l", "m", "n")))
         # the rank exceeds every degree, as C(l+n, n) > max(l, n): refuse large ones before any binomial
@@ -192,49 +182,56 @@ def _matrix(data, rows: int, cols: int, parse) -> list:
     return [[parse(e) for e in row] for row in data]
 
 
+def _lift(target, A, mdesc, sampler):
+    """The lift of the isometry ``matrix`` into A's space or, given ``gram_prime`` or
+    ``alpha_prime``, into the space with those replaced."""
+    space, S = A.space, A.S
+    phi = _matrix(mdesc["matrix"], 3, 3, S.from_json)
+    target_space = space
+    if "gram_prime" in mdesc or "alpha_prime" in mdesc:
+        gram = _matrix(mdesc["gram_prime"], 3, 3, S.from_json) if "gram_prime" in mdesc else space.gram
+        alpha = S.from_json(mdesc["alpha_prime"]) if "alpha_prime" in mdesc else space.alpha
+        target_space = HermitianSpace(S, gram, alpha)
+    return maps.is_homomorphism(maps.lift_isometry(space, target_space, phi, target), sampler)
+
+
+# map kind -> (the construction kinds it applies to, as checks.APPLICABLE gates suites,
+#              its check from the config's algebra A, the map description m and the sampler s)
+MAP_KINDS = {
+    "dual": ({"col_split"}, lambda A, m, s: maps.is_homomorphism(maps.dual_iso(A), s)),
+    "cube-root": (
+        _SPLIT_CLASSES,
+        lambda A, m, s: maps.is_homomorphism(maps.cube_root_auto(A, A.ring.parse(str(m["mu"]))), s),
+    ),
+    "diagonal": (
+        _SPLIT_CLASSES,
+        lambda A, m, s: maps.is_homomorphism(
+            maps.diagonal_iso(A, _matrix(m["matrix"], 3, 3, A.ring.parse), A.ring.parse(str(m["lam_prime"]))), s
+        ),
+    ),
+    "custom": (
+        checks.APPLICABLE,
+        lambda A, m, s: maps.is_homomorphism(
+            maps.custom_map(A, A, _matrix(m["table"], A.rank, A.rank, A.ring.parse)), s
+        ),
+    ),
+    "derivation": (_HERM_CLASSES, lambda A, m, s: maps.is_derivation(_matrix(m["matrix"], 3, 3, A.S.from_json), A, s)),
+    "G-phi": ({"col_hermitian"}, partial(_lift, "colour")),
+    "H-phi": ({"cay_hermitian"}, partial(_lift, "cayley")),
+}
+
+
 def cmd_map_check(config: dict, args) -> int:
     A = build_algebra(config)
     sampler = _sampler(config, args)
-    with open(args.mapfile, "r", encoding="utf-8") as fh:
-        mdesc = json.load(fh)
-    if not isinstance(mdesc, dict):
-        raise BadSpec("the map description must be a JSON object")
+    mdesc = load_object(args.mapfile, "the map description")
     kind = mdesc["kind"]
-    if not isinstance(kind, str) or kind not in MAP_FAMILIES:
+    if not isinstance(kind, str) or kind not in MAP_KINDS:
         raise SuiteNotApplicable(f"unknown map kind {kind!r}")
-    if A.family not in MAP_FAMILIES[kind]:
+    families, check = MAP_KINDS[kind]
+    if A.family not in families:
         raise SuiteNotApplicable(f"{kind} maps do not apply to {A.family}")
-    if kind == "derivation":
-        d = _matrix(mdesc["matrix"], 3, 3, A.S.from_json)
-        report = maps.is_derivation(d, A, sampler)
-    else:
-        if kind == "diagonal":
-            phi = _matrix(mdesc["matrix"], 3, 3, A.ring.parse)
-            lam_prime = A.ring.parse(str(mdesc["lam_prime"]))
-            m = maps.diagonal_iso(A, phi, lam_prime)
-        elif kind == "dual":
-            m = maps.dual_iso(A)
-        elif kind == "cube-root":
-            m = maps.cube_root_auto(A, A.ring.parse(str(mdesc["mu"])))
-        elif kind == "custom":
-            table = _matrix(mdesc["table"], A.rank, A.rank, A.ring.parse)
-            m = maps.custom_map(A, A, table)
-        else:  # G-phi, H-phi
-            space = A.space
-            phi = _matrix(mdesc["matrix"], 3, 3, A.S.from_json)
-            target_space = space
-            if "gram_prime" in mdesc or "alpha_prime" in mdesc:
-                S = space.S
-                gram = (
-                    _matrix(mdesc["gram_prime"], 3, 3, S.from_json)
-                    if "gram_prime" in mdesc
-                    else space.gram
-                )
-                alpha = S.from_json(mdesc["alpha_prime"]) if "alpha_prime" in mdesc else space.alpha
-                target_space = HermitianSpace(S, gram, alpha)
-            target = "colour" if kind == "G-phi" else "cayley"
-            m = maps.lift_isometry(space, target_space, phi, target)
-        report = maps.is_homomorphism(m, sampler)
+    report = check(A, mdesc, sampler)
     if args.format == "text":
         state = "PASS" if report.passed else "FAIL"
         sys.stdout.write(f"{state}  {report.identity} samples={report.samples}\n")
@@ -243,17 +240,9 @@ def cmd_map_check(config: dict, args) -> int:
     return 0 if report.passed else 1
 
 
-def _load_element(A, path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise BadSpec(f"an element file must hold a JSON object, got {data!r}")
-    return A.element_from_json(data)
-
-
 def cmd_mul(config: dict, args) -> int:
     A = build_algebra(config)
-    x, y = _load_element(A, args.x), _load_element(A, args.y)
+    x, y = (A.element_from_json(load_object(path, "an element file")) for path in (args.x, args.y))
     p = A.mul(x, y)
     out = {"product": A.element_to_json(p), "norm": A.ring.format(A.norm(p))}
     if A.unital:
@@ -296,40 +285,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="colouralg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, run, about):
+        sp = sub.add_parser(name, help=about)
+        sp.set_defaults(run=run)
         sp.add_argument("config", help="path to the JSON config file")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--mode", choices=["seeded", "exhaustive"], default=None)
         sp.add_argument("--format", choices=["json", "text"], default="json")
+        return sp
 
-    common(sub.add_parser("build", help="print family metadata and structure constants"))
-    p_check = sub.add_parser("check", help="run an identity suite")
-    common(p_check)
-    p_check.add_argument("--suite", default="all-applicable")
-    p_map = sub.add_parser("map-check", help="verify a declared map")
-    common(p_map)
-    p_map.add_argument("mapfile", help="path to the JSON map description")
-    p_mul = sub.add_parser("mul", help="multiply two serialized elements")
-    common(p_mul)
+    command("build", cmd_build, "print family metadata and structure constants")
+    command("check", cmd_check, "run an identity suite").add_argument("--suite", default="all-applicable")
+    command("map-check", cmd_map_check, "verify a declared map").add_argument(
+        "mapfile", help="path to the JSON map description"
+    )
+    p_mul = command("mul", cmd_mul, "multiply two serialized elements")
     p_mul.add_argument("x", help="path to the left factor (JSON)")
     p_mul.add_argument("y", help="path to the right factor (JSON)")
-    common(sub.add_parser("graded-info", help="graded construction statistics"))
+    command("graded-info", cmd_graded_info, "graded construction statistics")
 
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.command == "build":
-            return cmd_build(config, args)
-        if args.command == "check":
-            return cmd_check(config, args)
-        if args.command == "map-check":
-            return cmd_map_check(config, args)
-        if args.command == "mul":
-            return cmd_mul(config, args)
-        if args.command == "graded-info":
-            return cmd_graded_info(config, args)
-        raise SuiteNotApplicable(f"unknown command {args.command!r}")
+        return args.run(load_object(args.config, "the config"), args)
     except (ColourAlgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(exc)
 

@@ -58,9 +58,6 @@ class EtaleAlgebra:
         """t_S(x) = x + conj(x), as a base-ring payload."""
         return self.as_scalar(self.add(x, self.conj(x)))
 
-    def norm_trace(self, x):
-        return (self.norm(x), self.trace(x))
-
     def is_unit(self, x) -> bool:
         return self.ring.is_unit(self.norm(x))
 
@@ -72,11 +69,6 @@ class EtaleAlgebra:
 
     def sample(self, rng):
         return (self.ring.sample(rng), self.ring.sample(rng))
-
-    def elements(self):
-        for a in self.ring.elements():
-            for b in self.ring.elements():
-                yield (a, b)
 
     def format(self, x) -> str:
         return f"({self.ring.format(x[0])}, {self.ring.format(x[1])})"

@@ -41,18 +41,7 @@ from .errors import (
     NotSLinear,
     SuiteNotApplicable,
 )
-from .trivec import (
-    HermitianSpace,
-    mat_cofactor,
-    mat_conj,
-    mat_det,
-    mat_mul,
-    mat_smul,
-    mat_transpose,
-    mat_vec,
-    vec_neg,
-    vec_sub,
-)
+from .trivec import HermitianSpace, mat_cofactor, mat_det, mat_smul, mat_vec, vec_neg, vec_smul, vec_sub
 
 __all__ = [
     "AlgebraMap",
@@ -158,10 +147,9 @@ def _validate_s_matrix(S, phi):
 
 
 def is_isometry(P: HermitianSpace, P2: HermitianSpace, phi) -> bool:
-    """h'(phi u, phi v) = h(u, v), i.e. conj(phi)^T H' phi = H."""
-    S = P.S
-    lhs = mat_mul(S, mat_mul(S, mat_transpose(mat_conj(S, phi)), P2.gram), phi)
-    return lhs == P.gram
+    """h'(phi u, phi v) = h(u, v) on every pair of basis vectors, hence on all of P."""
+    images = [(e, mat_vec(P.S, phi, e)) for e in P.basis()]
+    return all(P2.h(fu, fv) == P.h(u, v) for (u, fu), (v, fv) in product(images, repeat=2))
 
 
 _LIFTS = {"colour": ("G-phi", ColHermAlgebra), "cayley": ("H-phi", CayleyAlgebra)}
@@ -237,24 +225,15 @@ def lambda_map(P: HermitianSpace, u, v):
     of the family; it lies in the h-skew Lie algebra u(P,h).)
     """
     S = P.S
-    cols = []
-    for e in P.basis():
-        hu = P.h(u, e)
-        hv = P.h(v, e)
-        cols.append(vec_sub(S, tuple(S.mul(hu, c) for c in v), tuple(S.mul(hv, c) for c in u)))
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    cols = [vec_sub(S, vec_smul(S, P.h(u, e), v), vec_smul(S, P.h(v, e), u)) for e in P.basis()]
+    return tuple(zip(*cols))
 
 
 def in_unitary(P: HermitianSpace, f, special: bool = False) -> bool:
     """Membership in U(P,h) (isometries), or SU(P,h) when ``special``."""
     S = P.S
-    if not S.is_unit(mat_det(S, f)):
-        return False
-    if not is_isometry(P, P, f):
-        return False
-    if special and mat_det(S, f) != S.one:
-        return False
-    return True
+    det = mat_det(S, f)
+    return S.is_unit(det) and is_isometry(P, P, f) and (not special or det == S.one)
 
 
 def in_lie_unitary(P: HermitianSpace, f, special: bool = False) -> bool:

@@ -43,7 +43,6 @@ import re
 from fractions import Fraction
 from math import gcd
 from operator import add as _add_exps
-from typing import Iterator
 
 from .errors import BadPrime, BadSpec, EvenModulus, NotAUnit, ParseError, WrongRing
 
@@ -77,6 +76,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     return tokens
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
 
 
 class _Parser:
@@ -133,14 +139,14 @@ class _Parser:
         ring = self.ring
         kind, val, pos = self.take()
         if kind == "int":
-            num = int(val)
+            num = _int(val, pos)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.take()
                 k3, v3, p3 = self.take()
                 if k3 != "int":
                     raise ParseError("expected integer denominator", p3)
-                return ring._literal_fraction(num, int(v3), pos)
+                return ring._literal_fraction(num, _int(v3, p3), pos)
             return ring._literal_int(num)
         if kind == "name":
             exp = 1
@@ -150,7 +156,7 @@ class _Parser:
                 k3, v3, p3 = self.take()
                 if k3 != "int":
                     raise ParseError("expected integer exponent", p3)
-                exp = int(v3)
+                exp = _int(v3, p3)
             return ring._literal_var(val, exp, pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
@@ -199,9 +205,6 @@ class Ring:
     def sample(self, rng):
         """Draw one element from the deterministic stream ``rng``."""
         raise NotImplementedError
-
-    def elements(self) -> Iterator:
-        raise NotImplementedError(f"{self.kind} is not enumerable")
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -362,9 +365,6 @@ class IntegersMod(Ring):
 
     def sample(self, rng):
         return rng.below(self.n)
-
-    def elements(self):
-        return iter(range(self.n))
 
     def to_spec(self):
         return {"kind": "Zmod", "n": self.n}
@@ -537,9 +537,6 @@ class PolynomialRing(Ring):
 
     def is_homogeneous(self, a, degree: int) -> bool:
         return all(sum(e) == degree for e in a)
-
-    def coefficient(self, a, exps: tuple[int, ...]):
-        return a.get(exps, self.base.zero)
 
     def _monomial_str(self, exps) -> str:
         parts = []

@@ -49,11 +49,7 @@ __all__ = [
     "vec_conj",
     "classical_cross",
     "pairing",
-    "det3",
     "mat_vec",
-    "mat_mul",
-    "mat_transpose",
-    "mat_conj",
     "mat_det",
     "mat_cofactor",
     "mat_identity",
@@ -102,11 +98,6 @@ def pairing(K, u, ud):
     return t
 
 
-def det3(K, u, v, w):
-    """Determinant of the column matrix (u | v | w)."""
-    return pairing(K, u, classical_cross(K, v, w))
-
-
 # ------------------------------------------------------------- matrices
 # 3x3 matrices are tuples of three row tuples.
 
@@ -122,29 +113,13 @@ def mat_vec(K, M, x):
     )
 
 
-def mat_mul(K, A, B):
-    return tuple(
-        tuple(
-            K.add(K.add(K.mul(A[i][0], B[0][j]), K.mul(A[i][1], B[1][j])), K.mul(A[i][2], B[2][j]))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def mat_transpose(M):
-    return tuple(tuple(M[j][i] for j in range(3)) for i in range(3))
-
-
-def mat_conj(S: EtaleAlgebra, M):
-    return tuple(tuple(S.conj(M[i][j]) for j in range(3)) for i in range(3))
-
-
 def mat_smul(K, s, M):
     return tuple(tuple(K.mul(s, M[i][j]) for j in range(3)) for i in range(3))
 
 
 def mat_det(K, M):
+    """Row 0 paired with the cross product of rows 1 and 2; det is transpose-invariant, so
+    ``mat_det(K, (u, v, w))`` is det(u | v | w)."""
     return pairing(K, M[0], classical_cross(K, M[1], M[2]))
 
 

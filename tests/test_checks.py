@@ -71,7 +71,7 @@ def test_draws_deterministic():
 
 def enumerate_elements(A):
     """Every element of A over Z/n, in lexicographic coordinate order (the order exhaustive indices count)."""
-    return map(A.from_coords, product(tuple(A.ring.elements()), repeat=A.rank))
+    return map(A.from_coords, product(range(A.ring.n), repeat=A.rank))
 
 
 def test_enumerate_elements_count():

@@ -610,6 +610,48 @@ def test_graded_large_degrees_refused_before_the_rank_is_computed(tmp_path):
     assert json.loads(proc.stderr) == {"error": "BadDegrees", "message": "graded degrees must be below the rank limit 128"}
 
 
+# 5,001 digits: past the 4,300 that CPython converts between int and str by default
+_DIGITS = "7" * 5001
+_COL_F7 = '{"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "col_split", "lam": "1"}}'
+_ZERO3 = '["0", "0", "0"]'
+LONG_INTEGERS = {
+    "config-number": (
+        "build",
+        '{"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": %s, "m": 1, "n": 1}}' % _DIGITS,
+        [],
+        "BadSpec",
+    ),
+    "config-lam-string": (
+        "build",
+        '{"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "col_split", "lam": "%s"}}' % _DIGITS,
+        [],
+        "ParseError",
+    ),
+    "map-number": ("map-check", _COL_F7, ['{"kind": "cube-root", "mu": %s}' % _DIGITS], "BadSpec"),
+    "element-number": (
+        "mul",
+        _COL_F7,
+        ['{"a": %s, "u": %s, "ud": %s}' % (_DIGITS, _ZERO3, _ZERO3)] * 2,
+        "BadSpec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_INTEGERS))
+def test_over_long_integer_is_a_project_error(tmp_path, name):
+    command, config, inputs, error = LONG_INTEGERS[name]
+    paths = []
+    for i, text in enumerate([config, *inputs]):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    cfg, *rest = paths
+    rc, out, err = run_cli(command, cfg, *rest)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 @pytest.mark.parametrize(
     "p, rc",
     [(1000000000000000003, 0), (2**89 - 1, 2)],

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 
 import pytest
 
@@ -10,7 +10,7 @@ from colouralg.trivec import (
     HermitianSpace,
     Trivialization,
     classical_cross,
-    det3,
+    mat_det,
     mat_identity,
     pairing,
     vec_add,
@@ -298,6 +298,18 @@ def test_nondiagonal_split_gram_with_det_minus_one():
         assert P.h(u, uv) == S.zero
 
 
+def mat_transpose(M):
+    return tuple(zip(*M))
+
+
+def mat_mul(K, A, B):
+    """Reference 3x3 product: entry (i, j) sums A[i][k] B[k][j] over k."""
+    return tuple(
+        tuple(K.add(K.add(K.mul(A[i][0], B[0][j]), K.mul(A[i][1], B[1][j])), K.mul(A[i][2], B[2][j])) for j in range(3))
+        for i in range(3)
+    )
+
+
 def test_matrix_helpers_against_oracles():
     # over Z/15 some determinants are zero divisors: M cof(M)^T = det(M) I holds all the same
     for K in (Q, rings.IntegersMod(15)):
@@ -307,17 +319,17 @@ def test_matrix_helpers_against_oracles():
             M = tuple(tuple(K.sample(rng) for _ in range(3)) for _ in range(3))
             cols = tuple(tuple(M[i][j] for i in range(3)) for j in range(3))
             assert trivec.mat_det(K, M) == perm_det(K, cols)
-            cof_t = trivec.mat_transpose(trivec.mat_cofactor(K, M))
+            cof_t = mat_transpose(trivec.mat_cofactor(K, M))
             d = trivec.mat_det(K, M)
             expected = tuple(
                 tuple(d if i == j else K.zero for j in range(3)) for i in range(3)
             )
-            assert trivec.mat_mul(K, M, cof_t) == expected
+            assert mat_mul(K, M, cof_t) == expected
             assert cof_t == minors_adjugate(K, M)
             if K.is_unit(d):
                 units += 1
                 inv = trivec.mat_smul(K, K.inv(d), cof_t)
-                assert trivec.mat_mul(K, M, inv) == mat_identity(K) == trivec.mat_mul(K, inv, M)
+                assert mat_mul(K, M, inv) == mat_identity(K) == mat_mul(K, inv, M)
         assert units == 50 if K is Q else 0 < units < 50
 
 
@@ -325,7 +337,7 @@ def test_det3_column_convention():
     rng = SplitMix64(257)
     for _ in range(60):
         u, v, w = rvec(Q, rng), rvec(Q, rng), rvec(Q, rng)
-        assert det3(Q, u, v, w) == perm_det(Q, (u, v, w))
+        assert mat_det(Q, (u, v, w)) == perm_det(Q, (u, v, w))
 
 
 # ----- sparse Gram rows against the dense formulas
@@ -359,7 +371,7 @@ def minors_adjugate(K, M):
 def dense_cross(P, v, w):
     """Reference: conj(H^-T (alpha C)) with the dense H^-T from the minors and the alpha read now."""
     S = P.S
-    hinv_t = trivec.mat_transpose(trivec.mat_smul(S, S.inv(P.det), minors_adjugate(S, P.gram)))
+    hinv_t = mat_transpose(trivec.mat_smul(S, S.inv(P.det), minors_adjugate(S, P.gram)))
     return trivec.vec_conj(S, trivec.mat_vec(S, hinv_t, vec_smul(S, P.alpha, classical_cross(S, v, w))))
 
 
@@ -374,7 +386,7 @@ def kummer_from(gram):
     """A space over F7[sqrt(3)] with the given Gram and an alpha with n(alpha) det = 1."""
     K = etale.KummerExtension(F7, 3)
     d = K.as_scalar(trivec.mat_det(K, gram))
-    return HermitianSpace(K, gram, next(a for a in K.elements() if F7.mul(K.norm(a), d) == F7.one))
+    return HermitianSpace(K, gram, next(a for a in product(range(7), repeat=2) if F7.mul(K.norm(a), d) == F7.one))
 
 
 def det1(R):
