@@ -179,23 +179,24 @@ class Algebra:
             raise WrongRing(f"{self.family} has no unit")
         return self._one
 
+    # tuples from lists: a tuple built from an iterator is allocated larger and shrunk
     def add(self, x, y):
         return self.element(
-            *[tuple(map(op, get(x), get(y))) if vec else op(get(x), get(y)) for get, op, vec in self._add]
+            *[tuple([*map(op, get(x), get(y))]) if vec else op(get(x), get(y)) for get, op, vec in self._add]
         )
 
     def sub(self, x, y):
         return self.element(
-            *[tuple(map(op, get(x), get(y))) if vec else op(get(x), get(y)) for get, op, vec in self._sub]
+            *[tuple([*map(op, get(x), get(y))]) if vec else op(get(x), get(y)) for get, op, vec in self._sub]
         )
 
     def neg(self, x):
-        return self.element(*[tuple(map(op, get(x))) if vec else op(get(x)) for get, op, vec in self._neg])
+        return self.element(*[tuple([*map(op, get(x))]) if vec else op(get(x)) for get, op, vec in self._neg])
 
     def smul(self, r, x):
         """Scale by an R payload."""
         return self.element(
-            *[tuple(map(op, repeat(r), get(x))) if vec else op(r, get(x)) for get, op, vec in self._smul]
+            *[tuple([*map(op, repeat(r), get(x))]) if vec else op(r, get(x)) for get, op, vec in self._smul]
         )
 
     def sample(self, rng):

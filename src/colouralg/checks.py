@@ -167,6 +167,8 @@ class Sampler:
             raise ValueError(f"unknown sampler mode {self.mode!r}")
         if self.count < 1:
             raise ValueError(f"the sample count must be positive, got {self.count}")
+        if self.mode == "seeded" and self.count > EXHAUSTIVE_WORK:
+            raise ValueError(f"the sample count {self.count} is past the work bound {EXHAUSTIVE_WORK}")
 
     def rng(self) -> SplitMix64:
         return SplitMix64(self.seed)

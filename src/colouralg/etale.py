@@ -10,12 +10,22 @@ Two families cover all test configurations:
 Elements are pairs ``(a, b)`` of base-ring payloads in both cases, matching
 the wire format ``["a", "b"]``.  Since S is commutative, the canonical
 involution is a ring automorphism, and norm and trace land in R.
+
+Over Z/n (and F_p, a subclass) the components are plain ints, and each S op
+is one int expression per component, reduced once mod n (``self.n``; 0 off
+Z/n, where the ops go through the ring's own methods).  Every ``IntegersMod``
+op returns its result ``% n`` and Python's ``%`` is non-negative, so the
+residues are the ones the ring ops give; ``sample`` makes the same two
+``rng.below(n)`` calls, in the same order, as two ``IntegersMod.sample``
+calls, so draws are unchanged too.  The int branch sits inside each method,
+not in a subclass, so a wrapper on ``SplitTorus.mul`` or
+``KummerExtension.mul`` still counts every S product.
 """
 
 from __future__ import annotations
 
 from .errors import BadSpec, NotAUnit, WrongRing
-from .rings import Ring
+from .rings import IntegersMod, Ring
 
 __all__ = ["EtaleAlgebra", "SplitTorus", "KummerExtension", "make_etale"]
 
@@ -27,23 +37,36 @@ class EtaleAlgebra:
 
     def __init__(self, ring: Ring):
         self.ring = ring
+        self.n = ring.n if isinstance(ring, IntegersMod) else 0
         self.zero = (ring.zero, ring.zero)
 
     # pair-wise structure shared by both families --------------------
     def add(self, x, y):
+        n = self.n
+        if n:
+            return ((x[0] + y[0]) % n, (x[1] + y[1]) % n)
         R = self.ring
         return (R.add(x[0], y[0]), R.add(x[1], y[1]))
 
     def sub(self, x, y):
+        n = self.n
+        if n:
+            return ((x[0] - y[0]) % n, (x[1] - y[1]) % n)
         R = self.ring
         return (R.sub(x[0], y[0]), R.sub(x[1], y[1]))
 
     def neg(self, x):
+        n = self.n
+        if n:
+            return (-x[0] % n, -x[1] % n)
         R = self.ring
         return (R.neg(x[0]), R.neg(x[1]))
 
     def smul(self, r, x):
         """Scale by a base-ring payload."""
+        n = self.n
+        if n:
+            return (r * x[0] % n, r * x[1] % n)
         R = self.ring
         return (R.mul(r, x[0]), R.mul(r, x[1]))
 
@@ -68,6 +91,9 @@ class EtaleAlgebra:
         return self.smul(self.ring.inv(n), self.conj(x))
 
     def sample(self, rng):
+        n = self.n
+        if n:
+            return (rng.below(n), rng.below(n))
         return (self.ring.sample(rng), self.ring.sample(rng))
 
     def format(self, x) -> str:
@@ -105,6 +131,9 @@ class SplitTorus(EtaleAlgebra):
         self.one = (ring.one, ring.one)
 
     def mul(self, x, y):
+        n = self.n
+        if n:
+            return (x[0] * y[0] % n, x[1] * y[1] % n)
         R = self.ring
         return (R.mul(x[0], y[0]), R.mul(x[1], y[1]))
 
@@ -142,15 +171,21 @@ class KummerExtension(EtaleAlgebra):
         self.one = (ring.one, ring.zero)
 
     def mul(self, x, y):
-        R = self.ring
         a, b = x
         c, e = y
+        n = self.n
+        if n:
+            return ((a * c + self.d * b * e) % n, (a * e + b * c) % n)
+        R = self.ring
         return (
             R.add(R.mul(a, c), R.mul(self.d, R.mul(b, e))),
             R.add(R.mul(a, e), R.mul(b, c)),
         )
 
     def conj(self, x):
+        n = self.n
+        if n:
+            return (x[0], -x[1] % n)
         return (x[0], self.ring.neg(x[1]))
 
     def scalar(self, r):

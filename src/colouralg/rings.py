@@ -531,10 +531,6 @@ class PolynomialRing(Ring):
         (_, c), = a.items()
         return {(0,) * self.nvars: self.base.inv(c)}
 
-    def degree(self, a) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in a), default=-1)
-
     def is_homogeneous(self, a, degree: int) -> bool:
         return all(sum(e) == degree for e in a)
 

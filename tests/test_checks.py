@@ -60,6 +60,12 @@ def test_sampler_validation():
         Sampler(seed=1, mode="random")
 
 
+def test_seeded_sample_count_is_bounded_by_the_work_bound():
+    assert Sampler(count=checks.EXHAUSTIVE_WORK).count == 10**6
+    with pytest.raises(ValueError, match=f"work bound {checks.EXHAUSTIVE_WORK}"):
+        Sampler(count=checks.EXHAUSTIVE_WORK + 1)
+
+
 def test_draws_deterministic():
     A = algebras.ColSplitAlgebra(F7, 1)
     s = Sampler(seed=42, count=25)

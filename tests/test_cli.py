@@ -537,6 +537,23 @@ def test_check_rejects_non_positive_samples_flag(col_cfg, samples):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_check_refuses_samples_past_the_work_bound(tmp_path):
+    # cross identities draw every sample, so an unbounded count would run for hours
+    cfg = write(tmp_path, "c.json", _HERM_F5)
+    proc = subprocess.run(
+        [sys.executable, "-m", "colouralg", "check", cfg, "--suite", "herm-cross", "--samples", "1000000000000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "ValueError",
+        "message": "the sample count 1000000000000 is past the work bound 1000000",
+    }
+
+
 _COL = {"kind": "col_split", "lam": "1"}
 _HERM = {
     "kind": "cay_hermitian",

@@ -123,3 +123,71 @@ def test_as_scalar_rejects_non_fixed():
     S = etale.SplitTorus(Q)
     with pytest.raises(WrongRing):
         S.as_scalar((Q.one, Q.zero))
+
+
+Z15 = rings.IntegersMod(15)
+
+
+def reference_ops(S):
+    """The S ops written from the base ring's own ops: the path every ring took before the Z/n int path."""
+    R = S.ring
+    ops = {
+        "add": lambda x, y: (R.add(x[0], y[0]), R.add(x[1], y[1])),
+        "sub": lambda x, y: (R.sub(x[0], y[0]), R.sub(x[1], y[1])),
+        "neg": lambda x: (R.neg(x[0]), R.neg(x[1])),
+    }
+    if S.kind == "split":
+        return ops | {
+            "mul": lambda x, y: (R.mul(x[0], y[0]), R.mul(x[1], y[1])),
+            "conj": lambda x: (x[1], x[0]),
+            "norm": lambda x: R.mul(x[0], x[1]),
+            "trace": lambda x: R.add(x[0], x[1]),
+        }
+    d = S.d
+    return ops | {
+        "mul": lambda x, y: (
+            R.add(R.mul(x[0], y[0]), R.mul(d, R.mul(x[1], y[1]))),
+            R.add(R.mul(x[0], y[1]), R.mul(x[1], y[0])),
+        ),
+        "conj": lambda x: (x[0], R.neg(x[1])),
+        "norm": lambda x: R.sub(R.mul(x[0], x[0]), R.mul(d, R.mul(x[1], x[1]))),
+        "trace": lambda x: R.add(x[0], x[0]),
+    }
+
+
+INT_PATH = [
+    etale.SplitTorus(F7),
+    etale.SplitTorus(Z15),
+    etale.KummerExtension(F7, 3),
+    etale.KummerExtension(Z15, 2),
+]
+
+
+@pytest.mark.parametrize("S", INT_PATH, ids=lambda s: f"{s.kind}/{s.ring.kind}")
+def test_int_path_equals_ring_ops(S):
+    R, ref = S.ring, reference_ops(S)
+    assert S.n == R.n
+    elements = list(product(range(R.n), repeat=2))
+    for x in elements:
+        for op in ("neg", "conj", "norm", "trace"):
+            assert getattr(S, op)(x) == ref[op](x), (op, x)
+        for r in range(R.n):
+            assert S.smul(r, x) == (R.mul(r, x[0]), R.mul(r, x[1])), (r, x)
+        for y in elements:
+            for op in ("add", "sub", "mul"):
+                assert getattr(S, op)(x, y) == ref[op](x, y), (op, x, y)
+
+
+@pytest.mark.parametrize("S", INT_PATH, ids=lambda s: f"{s.kind}/{s.ring.kind}")
+def test_int_path_sample_draws_as_the_ring_does(S):
+    ours, ring = SplitMix64(41), SplitMix64(41)
+    for _ in range(200):
+        assert S.sample(ours) == (S.ring.sample(ring), S.ring.sample(ring))
+    assert ours.next_u64() == ring.next_u64()
+
+
+def test_ring_op_path_off_z_mod_n():
+    poly = rings.PolynomialRing(Q, ["t0"])
+    for S in (etale.SplitTorus(Q), etale.KummerExtension(Q, Q.of_int(5)), etale.SplitTorus(poly)):
+        assert S.n == 0
+    assert etale.KummerExtension(poly, poly.one).n == 0

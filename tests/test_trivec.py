@@ -480,7 +480,17 @@ def _products(count, fn, *args):
     return count[0]
 
 
-@pytest.mark.parametrize("make", [lambda: split_space(F7), lambda: kummer_space()], ids=["split", "kummer"])
+def kummer_q_space():
+    K = etale.KummerExtension(Q, Q.of_int(5))
+    return HermitianSpace(K, mat_identity(K), K.one)
+
+
+# Z/n takes the int path inside the counted methods and Q the ring-op path: both must count
+@pytest.mark.parametrize(
+    "make",
+    [lambda: split_space(F7), kummer_space, lambda: split_space(Q), kummer_q_space],
+    ids=["split", "kummer", "split-Q", "kummer-Q"],
+)
 def test_gram_identity_h_and_cross_op_counts(s_products, make):
     P = make()
     rng = SplitMix64(269)
