@@ -65,7 +65,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import NotTraceZero, WrongRing
 from .etale import EtaleAlgebra
-from .rings import Ring
+from .rings import IntegersMod, Ring
 from .trivec import (
     HermitianSpace,
     Trivialization,
@@ -146,6 +146,7 @@ class Algebra:
 
     def __init__(self, ring: Ring, element: type, slots, unit=(), coord_order=None):
         self.ring = ring
+        self._n = ring.n if isinstance(ring, IntegersMod) else 0  # the fused draw's modulus (``sample_coords``)
         self.element = element
         self.unital = bool(unit)
         self._slots = [(name, K, n, isinstance(K, EtaleAlgebra)) for name, K, n in slots]
@@ -203,7 +204,12 @@ class Algebra:
         return self.from_coords(self.sample_coords(rng))
 
     def sample_coords(self, rng):
-        """A draw's coordinate tuple: ``rank`` base-ring samples in field order, permuted once."""
+        """A draw's coordinate tuple: ``rank`` base-ring samples in field order, permuted once.  Over Z/n
+        each is ``rng.next_u64() % n``, the draw of ``IntegersMod.sample``."""
+        n = self._n
+        if n:
+            draw = rng.next_u64
+            return self._draw_to_coords([draw() % n for _ in range(self.rank)])
         sample = self.ring.sample
         return self._draw_to_coords([sample(rng) for _ in range(self.rank)])
 

@@ -28,6 +28,16 @@ the scalar identity.  Before a seeded call uses a view,
 (``GUARD_SEED``), so no identity's stream moves; if one pair disagrees, as a
 ``mul`` that is not bilinear can make it, the whole call runs scalar draws.
 
+The seeded cross identities over Z/n run on a view of the hermitian space
+(``_SpaceView``): its own S and alpha, with ``h`` and ``cross`` compiled to
+straight-line int functions from their values on the 36 pairs of coordinate
+unit vectors, as both maps are R-bilinear.  ``_space_guard`` compares them
+with the space's own on ``GUARD_PAIRS`` pairs of vectors drawn from the
+``GUARD_SEED`` stream; if one pair disagrees, as a cross product off by one
+on a rare input makes it, the call takes the scalar path.  Off Z/n the cross
+identities always take the scalar path.  Draws and reports are those of the
+scalar path either way.
+
 Every checked law is the reduction mod n of an integer polynomial in the
 coordinates of its arguments, of degree at most d in each argument (the
 bound comes from running the identity on ``_Degree``).  Write mu(n) for the
@@ -398,11 +408,11 @@ _BUILD = object()  # run_identity's default view: chosen for that identity alone
 
 def run_identity(A, identity: str, sampler: Sampler, view=_BUILD) -> CheckReport:
     """Check one named identity.  Ungated: the caller chooses applicability.
-    ``view``: the ``_coord_view`` the caller chose for its whole call (None: the scalar path), else
-    chosen for this identity."""
+    ``view``: the view the caller chose for its whole call, ``_coord_view`` for an element identity and
+    ``_space_view`` for a cross identity (None: the scalar path), else chosen for this identity."""
     t0 = time.perf_counter()
     if identity in CROSS_IDENTITIES:
-        report = _run_cross_identity(A, identity, sampler)
+        report = _run_cross_identity(A, identity, sampler, view)
     elif identity in ELEMENT_IDENTITIES:
         if view is _BUILD:
             view = _coord_view(A, sampler, [identity])
@@ -413,12 +423,15 @@ def run_identity(A, identity: str, sampler: Sampler, view=_BUILD) -> CheckReport
     return report
 
 
-def _run_cross_identity(A, identity, sampler) -> CheckReport:
+def _run_cross_identity(A, identity, sampler, view) -> CheckReport:
     if sampler.mode == "exhaustive":
         raise ExhaustiveTooLarge("cross identities support seeded sampling only")
     P = getattr(A, "space", None)
     if P is None:
         raise SuiteNotApplicable(f"{A.family} has no hermitian space")
+    if view is _BUILD:
+        view = _space_view(P)
+    handle = P if view is None else view
     inputs, sides = CROSS_IDENTITIES[identity]
     S = P.S
 
@@ -430,7 +443,7 @@ def _run_cross_identity(A, identity, sampler) -> CheckReport:
         bad["index"] = index
         return bad
 
-    return first_failure(identity, draws(sampler, draw), lambda xs: eq(*sides(P, *xs)), describe)
+    return first_failure(identity, draws(sampler, draw), lambda xs: eq(*sides(handle, *xs)), describe)
 
 
 def _run_element_identity(A, identity, sampler, view) -> CheckReport:
@@ -530,8 +543,8 @@ def _constants(A):
 class _CoordView:
     """An algebra on coordinate tuples, on its ring's own ops.  Product row i lists (j, k, C[i][j][k])
     for each nonzero structure constant; a ring's zero is falsy on every ring, so zero coordinates are
-    skipped.  Over Z/n the coordinates are plain ints, summed unreduced and each output coordinate
-    reduced once (``n``, 0 off Z/n)."""
+    skipped.  Over Z/n the coordinates are plain ints, and every op sums them unreduced and reduces each
+    output coordinate once (``n``, 0 off Z/n)."""
 
     def __init__(self, A):
         C, form, self._trace, self._one = _constants(A)
@@ -560,19 +573,34 @@ class _CoordView:
 
     # tuples from lists: a tuple built from an iterator is allocated larger and shrunk
     def add(self, x, y):
+        n = self.n
+        if n:
+            return tuple([(a + b) % n for a, b in zip(x, y)])
         return tuple([*map(self.ring.add, x, y)])
 
     def sub(self, x, y):
+        n = self.n
+        if n:
+            return tuple([(a - b) % n for a, b in zip(x, y)])
         return tuple([*map(self.ring.sub, x, y)])
 
     def smul(self, t, x):
+        n = self.n
+        if n:
+            return tuple([t * a % n for a in x])
         return tuple([*map(self.ring.mul, repeat(t), x)])
 
     def norm(self, x):
+        n = self.n
+        if n:
+            return sum([q * x[i] * x[j] for i, j, q in self._Q]) % n
         R = self.ring
         return reduce(R.add, [R.mul(q, R.mul(x[i], x[j])) for i, j, q in self._Q if x[i] and x[j]], R.zero)
 
     def trace(self, x):
+        n = self.n
+        if n:
+            return sum([t * a for t, a in zip(self._trace, x)]) % n
         R = self.ring
         return reduce(R.add, map(R.mul, self._trace, x), R.zero)
 
@@ -581,6 +609,93 @@ class _CoordView:
 
     def zero(self):
         return self._zero
+
+
+# ------------------------------------------------------------ hermitian space view
+#
+# Over Z/n the seeded cross identities run on a view of the hermitian space P:
+# P's own S and alpha, with h and cross as straight-line int functions.  Both
+# maps are R-bilinear in the six R-coordinates x_{2i+c} = u[i][c] of each
+# vector, since conj is R-linear, so coordinate k of f(u, v) is
+# sum_ij f(e_i, e_j)_k x_i y_j mod n, e_i the coordinate unit vectors.  The
+# view writes that sum with its constants as int literals, one reduction mod n
+# per output coordinate, and compiles it.
+
+# e_0 .. e_5: R-coordinate k of a vector is component k % 2 of its entry k // 2
+_UNIT_VECTORS = [tuple(tuple(int(2 * i + c == k) for c in range(2)) for i in range(3)) for k in range(6)]
+
+_KERNEL = """def f(u, v):
+    (x0, x1), (x2, x3), (x4, x5) = u
+    (y0, y1), (y2, y3), (y4, y5) = v
+    return {}
+"""
+
+
+def _linear_source(terms) -> str:
+    """The source of sum c t over ``terms`` (c, t): c a nonzero int, t the source of a product."""
+    out = ""
+    for c, t in terms:
+        t = t if abs(c) == 1 else f"{abs(c)}*{t}"
+        out += (" - " if c < 0 else " + ") + t if out else ("-" if c < 0 else "") + t
+    return out
+
+
+def _bilinear_source(f, n) -> str:
+    """The value of the bilinear ``f(u, v)`` as a tuple expression in the names x0..x5, y0..y5 (the
+    R-coordinates of u and v) and int literals only: coordinate k is sum_i x_i (sum_j C_ijk y_j) % n,
+    each residue C_ijk written as the int of least absolute value."""
+    values = [[f(x, y) for y in _UNIT_VECTORS] for x in _UNIT_VECTORS]
+    vector = isinstance(values[0][0][0], tuple)  # a vector of S-pairs (cross), else one S-pair (h)
+    C = [[(*chain.from_iterable(v),) if vector else v for v in row] for row in values]
+    out = []
+    for k in range(len(C[0][0])):
+        terms = []
+        for i, row in enumerate(C):
+            inner = [(c - n if 2 * c > n else c, f"y{j}") for j, c in enumerate(p[k] for p in row) if c]
+            if len(inner) == 1:
+                terms.append((inner[0][0], f"x{i}*{inner[0][1]}"))
+            elif inner:
+                terms.append((1, f"x{i}*({_linear_source(inner)})"))
+        out.append(f"({_linear_source(terms)}) % {n}" if terms else "0")
+    pairs = [f"({a}, {b})" for a, b in zip(out[::2], out[1::2])]
+    return f"({', '.join(pairs)})" if vector else pairs[0]
+
+
+def _compile(source):
+    """``f(u, v)`` returning the expression ``source`` of ``_bilinear_source``."""
+    namespace = {"__builtins__": {}}
+    exec(_KERNEL.format(source), namespace)
+    return namespace["f"]
+
+
+class _SpaceView:
+    """A hermitian space over Z/n for the cross identities: P's ``S`` and ``alpha``, and ``h`` and ``cross``
+    compiled from their structure constants; ``sources`` keeps each one's generated expression."""
+
+    def __init__(self, P):
+        self.S, self.alpha = P.S, P.alpha
+        self.sources = {name: _bilinear_source(getattr(P, name), P.S.n) for name in ("h", "cross")}
+        self.h, self.cross = _compile(self.sources["h"]), _compile(self.sources["cross"])
+
+
+def _space_view(P):
+    """The view P's seeded cross identities run on: over Z/n its ``_SpaceView`` if that passes
+    ``_space_guard``, else None for the scalar path."""
+    if not P.S.n:
+        return None
+    view = _SpaceView(P)
+    return view if _space_guard(P, view) else None
+
+
+def _space_guard(P, view) -> bool:
+    """Whether the view's h and cross equal P's own on ``GUARD_PAIRS`` pairs of vectors drawn, as
+    ``_guard`` draws its pairs, from a stream of their own through the class's draw."""
+    rng, sample = SplitMix64(GUARD_SEED), type(P).sample_vec
+    for _ in range(GUARD_PAIRS):
+        u, v = sample(P, rng), sample(P, rng)
+        if view.h(u, v) != P.h(u, v) or view.cross(u, v) != P.cross(u, v):
+            return False
+    return True
 
 
 def colsplit_mul_batch(B, X, Y):
@@ -734,7 +849,8 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
             _require_enumerable(A, element)
         raise ExhaustiveTooLarge("cross identities support seeded sampling only")
     view = _coord_view(A, sampler, element) if element else None
-    return [run_identity(A, name, sampler, view) for name in names]
+    space = _space_view(A.space) if len(element) < len(names) else None
+    return [run_identity(A, name, sampler, view if name in ELEMENT_IDENTITIES else space) for name in names]
 
 
 # --------------------------------------------------- cross-construction

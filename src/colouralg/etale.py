@@ -15,8 +15,8 @@ Over Z/n (and F_p, a subclass) the components are plain ints, and each S op
 is one int expression per component, reduced once mod n (``self.n``; 0 off
 Z/n, where the ops go through the ring's own methods).  Every ``IntegersMod``
 op returns its result ``% n`` and Python's ``%`` is non-negative, so the
-residues are the ones the ring ops give; ``sample`` makes the same two
-``rng.below(n)`` calls, in the same order, as two ``IntegersMod.sample``
+residues are the ones the ring ops give; ``sample`` takes the same two
+``rng.next_u64() % n`` draws, in the same order, as two ``IntegersMod.sample``
 calls, so draws are unchanged too.  The int branch sits inside each method,
 not in a subclass, so a wrapper on ``SplitTorus.mul`` or
 ``KummerExtension.mul`` still counts every S product.
@@ -93,7 +93,7 @@ class EtaleAlgebra:
     def sample(self, rng):
         n = self.n
         if n:
-            return (rng.below(n), rng.below(n))
+            return (rng.next_u64() % n, rng.next_u64() % n)
         return (self.ring.sample(rng), self.ring.sample(rng))
 
     def format(self, x) -> str:

@@ -244,6 +244,10 @@ class HermitianSpace:
 
     def sample_vec(self, rng):
         S = self.S
+        n = S.n
+        if n:  # the six draws of three ``S.sample`` calls, in their order
+            d = rng.next_u64
+            return ((d() % n, d() % n), (d() % n, d() % n), (d() % n, d() % n))
         return tuple(S.sample(rng) for _ in range(3))
 
     def __eq__(self, other):

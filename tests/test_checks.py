@@ -1,7 +1,9 @@
+import ast
 import copy
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -21,6 +23,8 @@ from colouralg.checks import CheckReport, Sampler, SplitMix64, report_json_line
 from colouralg.errors import ExhaustiveTooLarge, SuiteNotApplicable
 from colouralg.graded import GradedAlgebra, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity
+from test_golden import _kummer, _RareCross, _split_f7
+from test_trivec import SPARSE_CASES
 
 Q = rings.RationalField()
 F3 = rings.PrimeField(3)
@@ -988,3 +992,201 @@ def test_cay_zorn_check():
 def test_report_json_is_stable():
     r = CheckReport("demo", 5, True, None, elapsed_ms=123)
     assert report_json_line(r) == '{"counterexample":null,"identity":"demo","pass":true,"samples":5}'
+
+
+# ----- fused draws and the int module ops over Z/n
+
+
+def test_fused_draws_equal_ring_op_draws():
+    # over Z/n each residue is next_u64() % n, in the order of the ring's own samples:
+    # equal values and an equal final generator state, for every family and both kinds of S
+    for A in VIEW_HANDLES:
+        R = A.ring
+        fused, ring_ops = SplitMix64(17), SplitMix64(17)
+        for _ in range(20):
+            assert A.sample_coords(fused) == A._draw_to_coords([R.sample(ring_ops) for _ in range(A.rank)])
+        P = getattr(A, "space", None)
+        if P is not None:
+            for _ in range(20):
+                assert P.S.sample(fused) == (R.sample(ring_ops), R.sample(ring_ops))
+                assert P.sample_vec(fused) == tuple((R.sample(ring_ops), R.sample(ring_ops)) for _ in range(3))
+        assert fused.state == ring_ops.state, A.family
+
+
+def test_coordinate_view_int_ops_equal_ring_ops():
+    # the view's plain-int ops over Z/15 and F3 against the same view on its ring's own ops (n = 0)
+    for A in [A for A in VIEW_HANDLES if A.ring.n in (3, 15)]:
+        V, ring_ops = checks._CoordView(A), checks._CoordView(A)
+        ring_ops.n = 0
+        rng = SplitMix64(23)
+        top = (A.ring.n - 1,) * A.rank
+        for x, y, t in [(top, top, A.ring.n - 1)] + [
+            (A.sample_coords(rng), A.sample_coords(rng), A.ring.sample(rng)) for _ in range(50)
+        ]:
+            for op in ("mul", "add", "sub"):
+                assert getattr(V, op)(x, y) == getattr(ring_ops, op)(x, y), (A.family, op)
+            assert V.smul(t, x) == ring_ops.smul(t, x)
+            assert V.norm(x) == ring_ops.norm(x)
+            if A.unital:
+                assert V.trace(x) == ring_ops.trace(x)
+
+
+# ----- the seeded cross identities over Z/n on the hermitian space view
+
+
+def _cross_view_spaces():
+    """Hermitian spaces over Z/n: split and Kummer (d = 2) S over F3, F7 and Z/15 with Gram I and a
+    twisted Gram, and the trivec tests' spaces over Z/n (dense Grams, alpha != 1, a reassigned alpha)."""
+    spaces = {}
+    for R in (F3, F7, rings.IntegersMod(15)):
+        for S in (etale.SplitTorus(R), etale.KummerExtension(R, R.of_int(2))):
+            spaces[f"{S.kind}/{R.n}/I"] = HermitianSpace(S, mat_identity(S), S.one)
+            spaces[f"{S.kind}/{R.n}/twisted"] = _twisted_space(S)
+    spaces.update({f"trivec:{name}": make() for name, make in SPARSE_CASES.items()})
+    return {name: P for name, P in spaces.items() if P.S.n}
+
+
+CROSS_VIEW_SPACES = _cross_view_spaces()
+# the coordinate unit vectors of P: R-coordinate k is component k % 2 of entry k // 2
+UNIT_VECTORS = [tuple(tuple(int(divmod(k, 2) == (i, c)) for c in range(2)) for i in range(3)) for k in range(6)]
+
+
+@pytest.mark.parametrize("name", list(CROSS_VIEW_SPACES))
+def test_space_view_h_and_cross_equal_the_space(name):
+    P = CROSS_VIEW_SPACES[name]
+    V = checks._SpaceView(P)
+    assert V.S is P.S and V.alpha is P.alpha
+    rng = SplitMix64(277)
+    pairs = [*product(UNIT_VECTORS, repeat=2), *[(P.sample_vec(rng), P.sample_vec(rng)) for _ in range(200)]]
+    for u, v in pairs:
+        assert V.h(u, v) == P.h(u, v)
+        assert V.cross(u, v) == P.cross(u, v)
+    assert checks._space_guard(P, V)
+
+
+def test_space_view_source_holds_only_coordinates_and_int_literals():
+    allowed = (ast.Expression, ast.Tuple, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Mod, ast.USub, ast.Load)
+    for P in CROSS_VIEW_SPACES.values():
+        for source in checks._SpaceView(P).sources.values():
+            for node in ast.walk(ast.parse(source, mode="eval")):
+                if isinstance(node, ast.Name):
+                    assert re.fullmatch("[xy][0-5]", node.id), source
+                elif isinstance(node, ast.Constant):
+                    assert type(node.value) is int, source
+                else:
+                    assert isinstance(node, allowed), source
+
+
+def test_space_view_is_built_over_z_n_only(monkeypatch):
+    # over Z/n the suite calls P's own h and cross only for the view's 36 constants and its guard
+    calls = {"h": 0, "cross": 0}
+    for name in calls:
+
+        def counted(self, u, v, name=name, real=getattr(HermitianSpace, name)):
+            calls[name] += 1
+            return real(self, u, v)
+
+        monkeypatch.setattr(HermitianSpace, name, counted)
+    A = algebras.WHermAlgebra(CROSS_VIEW_SPACES["kummer/15/twisted"])
+    assert all(r.passed for r in checks.run_suite(A, "herm-cross", Sampler(seed=3, count=50)))
+    assert calls == {"h": 36 + checks.GUARD_PAIRS, "cross": 36 + checks.GUARD_PAIRS}
+    S = etale.KummerExtension(Q, Q.of_int(2))
+    assert checks._space_view(HermitianSpace(S, mat_identity(S), S.one)) is None
+
+
+def test_space_guard_refuses_the_golden_rare_cross_spaces():
+    # the golden herm-cross:rare-cross cases stay on the scalar path by the guard's verdict, not by luck
+    for P in (_RareCross(*_split_f7(), (1, 1)), _RareCross(*_kummer(F7), (1, 0))):
+        assert not checks._space_guard(P, checks._SpaceView(P))
+        assert checks._space_view(P) is None
+
+
+class _RareH(HermitianSpace):
+    """h plus 1 when u[0][0] = v[1][1] is past 1 (~1 in 10 draws over F7): every basis pair is spared,
+    so the view's constants are those of the true h."""
+
+    def h(self, u, v):
+        z = HermitianSpace.h(self, u, v)
+        return self.S.add(z, self.S.one) if u[0][0] == v[1][1] > 1 else z
+
+
+def scalar_cross_reports(A, sampler):
+    return [checks.run_identity(A, name, sampler, None).to_json() for name in checks.CROSS_IDENTITIES]
+
+
+def test_space_guard_refuses_a_rare_h_fault(monkeypatch):
+    sampler = Sampler(seed=11, count=20)
+    for S in (etale.SplitTorus(F7), etale.KummerExtension(F7, 3)):
+        P = _RareH(S, mat_identity(S), S.one)
+        V = checks._SpaceView(P)
+        assert V.sources == checks._SpaceView(HermitianSpace(S, mat_identity(S), S.one)).sources
+        assert not checks._space_guard(P, V)
+        A = algebras.WHermAlgebra(P)
+        scalar = scalar_cross_reports(A, sampler)
+        assert not all(r["pass"] for r in scalar)
+        assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
+        with monkeypatch.context() as m:  # unguarded, the view is blind to the fault
+            m.setattr(checks, "_space_guard", lambda P, view: True)
+            assert all(r.passed for r in checks.run_suite(A, "herm-cross", sampler))
+
+
+def test_seeded_cross_reports_on_the_view_equal_the_scalar_path():
+    # passing spaces and bilinear planted faults (an alpha set after validation, h with swapped arguments)
+    swapped = type("SwappedH", (HermitianSpace,), {"h": lambda self, u, v: HermitianSpace.h(self, v, u)})
+    spaces = [
+        CROSS_VIEW_SPACES["split/15/twisted"],
+        CROSS_VIEW_SPACES["trivec:kummer/F7/dense"],
+        _alpha_doubled(etale.SplitTorus(rings.IntegersMod(15))),
+        _alpha_doubled(etale.KummerExtension(F7, 3)),
+        swapped(*_kummer(F7), (1, 0)),
+    ]
+    failing = 0
+    for P in spaces:
+        assert checks._space_view(P) is not None
+        for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra):
+            A = cls(P)
+            for sampler in (Sampler(seed=5, count=1), Sampler(seed=11, count=60)):
+                scalar = scalar_cross_reports(A, sampler)
+                assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
+                failing += sum(not r["pass"] for r in scalar)
+    assert failing
+
+
+def test_seeded_herm_cross_draws_as_many_residues_as_the_scalar_path(monkeypatch):
+    # one stream per identity, drawing 6 residues per vector and 2 per scalar up to its verdict,
+    # on the view as on the scalar path; the guard draws 12 per pair from a stream of its own, first
+    streams = {}
+    real = SplitMix64.next_u64
+
+    def counted(self):
+        streams.setdefault(id(self), [self, 0])[1] += 1
+        return real(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    sampler = Sampler(seed=3, count=40)
+    for P in (CROSS_VIEW_SPACES["kummer/15/twisted"], _alpha_doubled(etale.KummerExtension(F7, 3))):
+        A = algebras.CayleyAlgebra(P)
+        streams.clear()
+        scalar = scalar_cross_reports(A, sampler)
+        expected = [
+            r["samples"] * sum(2 if c == "a" else 6 for c in checks.CROSS_IDENTITIES[r["identity"]][0]) for r in scalar
+        ]
+        assert [c for _, c in streams.values()] == expected
+        streams.clear()
+        assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
+        assert [c for _, c in streams.values()] == [12 * checks.GUARD_PAIRS, *expected]
+
+
+def test_cross_identity_alone_reports_as_in_its_suite():
+    sampler = Sampler(seed=7, count=30)
+    for P in (
+        CROSS_VIEW_SPACES["split/7/twisted"],
+        _alpha_doubled(etale.SplitTorus(rings.IntegersMod(15))),
+        _RareH(*_split_f7(), (1, 1)),
+    ):
+        for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra):
+            A = cls(P)
+            suite = [r.to_json() for r in checks.run_suite(A, "all-applicable", sampler)]
+            alone = [checks.run_identity(A, r["identity"], sampler).to_json() for r in suite]
+            assert alone == suite
+            assert [r["identity"] for r in suite][-7:] == list(checks.CROSS_IDENTITIES)
