@@ -36,7 +36,8 @@ with the space's own on ``GUARD_PAIRS`` pairs of vectors drawn from the
 ``GUARD_SEED`` stream; if one pair disagrees, as a cross product off by one
 on a rare input makes it, the call takes the scalar path.  Off Z/n the cross
 identities always take the scalar path.  Draws and reports are those of the
-scalar path either way.
+scalar path either way, and on the view an identity may settle on its grid
+without drawing (below).
 
 Every checked law is the reduction mod n of an integer polynomial in the
 coordinates of its arguments, of degree at most d in each argument (the
@@ -64,16 +65,21 @@ every input on a pass, the inputs up to the failing one on a fail.  One grid
 pass, ``_fails``, serves this pass, every step of the descent and the seeded
 settlement below.
 
-A seeded element identity is settled on the product of its grids when that
-proves it: it passes, reporting ``samples = count`` without drawing, when
-every grid point agrees.  Over Z/n the grids are the capped L(d) above.  Over
-a ring R where every d_m! is a unit the binomials C(x, a), a in L(d), are
+A seeded identity is settled on the product of its grids when that proves
+it: it passes, reporting ``samples = count`` without drawing, when every grid
+point agrees.  Over Z/n the grids are the capped L(d) above.  Over a ring R
+where every d_m! is a unit the binomials C(x, a), a in L(d), are
 polynomials over R, and the law is the sum of its forward differences c_a
 times C(x, a) (Newton interpolation on lower sets), so the uncapped L(d)
 (n = 0 in ``_grid``) settles it as a polynomial over R, hence on every
 input.  That covers Q, polynomial rings over Q, and polynomial rings over
 Z/n whose least prime exceeds max d_m; a polynomial ring over any other Z/n
-draws (x^3 - x vanishes on F_3, not at t).  When a grid point fails the
+draws (x^3 - x vanishes on F_3, not at t).  A cross identity settles only
+on a ``_SpaceView`` that passed ``_space_guard``, hence over Z/n.  There h
+and cross are R-bilinear and S's ops R-polynomial, so the law is an integer
+polynomial in the six R-coordinates of each vector and the two of the S
+scalar ``a``, of the degrees ``_SpaceDegree`` reads off its ``sides``; its
+grids are the capped L(d) on those coordinates.  When a grid point fails the
 draws run as if no grid had been tried, so a failing report is the draws'
 own.  Before any work each identity takes its grid when |grid| <= w count,
 with w = ``_points_per_draw`` the grid points that cost about one draw: 4
@@ -88,7 +94,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import comb, factorial, gcd, prod
 from operator import eq
 
@@ -238,7 +244,7 @@ def draws(sampler: Sampler, draw):
 # handle (every report, and seeded mode off Z/n) and on its ``_CoordView``
 # (over Z/n, seeded and exhaustive).  ``describe(A, xs, lhs, rhs)`` gives the
 # counterexample fields of a failing input.  A cross-product identity is
-# ``sides(P, *inputs)`` on the ambient hermitian space, sampled only.
+# ``sides(P, *inputs)`` on the ambient hermitian space, seeded only.
 
 
 def _flexible(A, x, y):
@@ -313,7 +319,7 @@ ELEMENT_IDENTITIES = {
 }
 
 
-# ----- hermitian cross-product identities (space-level, sampled only) -----
+# ----- hermitian cross-product identities (space-level, seeded only) -----
 
 
 def _cross_defining(P, u, v, w):
@@ -431,8 +437,11 @@ def _run_cross_identity(A, identity, sampler, view) -> CheckReport:
         raise SuiteNotApplicable(f"{A.family} has no hermitian space")
     if view is _BUILD:
         view = _space_view(P)
-    handle = P if view is None else view
     inputs, sides = CROSS_IDENTITIES[identity]
+    grid = None if view is None else _settling_grid(A, identity, sampler.count)
+    if grid and not _fails(view, sides, *grid, ranks=_cross_ranks(inputs)):  # a pass on the grids proves the law
+        return CheckReport(identity, sampler.count, True, None)
+    handle = P if view is None else view
     S = P.S
 
     def draw(rng):
@@ -492,15 +501,20 @@ def _guard(A, view) -> bool:
 
 
 def _settling_grid(A, identity, count):
-    """``(n, degrees)`` when the grids ``_grid(n, r, d)`` of the identity's argument degrees settle it
-    over A.ring and cost no more than ``count`` draws (module docstring), else None."""
-    arity, sides, _ = ELEMENT_IDENTITIES[identity]
-    degrees = _degrees(sides, arity)
+    """``(n, degrees)`` when the grids ``_grid(n, r, d)`` of the identity's argument degrees d settle it
+    over A.ring and cost no more than ``count`` draws (module docstring), else None.  r is each argument's
+    coordinate count: A's rank for an element, ``_cross_ranks`` for the inputs of a cross identity."""
+    if identity in CROSS_IDENTITIES:
+        inputs, sides = CROSS_IDENTITIES[identity]
+        degrees, ranks = _cross_degrees(inputs, sides), _cross_ranks(inputs)
+    else:
+        arity, sides, _ = ELEMENT_IDENTITIES[identity]
+        degrees, ranks = _degrees(sides, arity), [A.rank] * arity
     n = A.ring.n if isinstance(A.ring, IntegersMod) else 0
     base = getattr(A.ring, "base", None)
     if isinstance(base, IntegersMod) and gcd(factorial(max(degrees)), base.n) > 1:
         return None
-    if prod(_grid_size(n, A.rank, d) for d in degrees) > _points_per_draw(A.ring) * count:
+    if prod(_grid_size(n, r, d) for r, d in zip(ranks, degrees)) > _points_per_draw(A.ring) * count:
         return None
     return n, degrees
 
@@ -758,6 +772,46 @@ def _degrees(sides, arity) -> list[int]:
     return [max(sides(_Degree(), *[int(k == m) for k in range(arity)])) for m in range(arity)]
 
 
+class _SpaceDegree(_Degree):
+    """``_Degree`` for the cross identities, through the ``sides(P, *inputs)`` protocol: the space and its
+    S at once.  An S value is its degree in one input's R-coordinates and a vector the 3-tuple of its
+    entries' degrees; ``zero`` and ``alpha`` are constants, ``conj`` is R-linear, and ``h`` and ``cross``,
+    R-bilinear, add their arguments' degrees."""
+
+    zero = alpha = 0
+    conj = _Degree.neg
+
+    def __init__(self):
+        self.S = self
+
+    def h(self, u, v):
+        return max(u) + max(v)
+
+    def cross(self, u, v):
+        return (self.h(u, v),) * 3
+
+
+def _top(value) -> int:
+    """The largest degree in a nested tuple of degrees."""
+    return max(map(_top, value)) if isinstance(value, tuple) else value
+
+
+@lru_cache(maxsize=None)
+def _cross_degrees(inputs, sides) -> tuple[int, ...]:
+    """Upper bounds on the degree of a cross identity in each input's R-coordinates; memoised, as each
+    identity's bounds are fixed."""
+
+    def at(m):  # input m of degree 1, the others of degree 0
+        return [int(k == m) if name == "a" else (int(k == m),) * 3 for k, name in enumerate(inputs)]
+
+    return tuple(_top(sides(_SpaceDegree(), *at(m))) for m in range(len(inputs)))
+
+
+def _cross_ranks(inputs) -> list[int]:
+    """The R-coordinates of each input of a cross identity: 2 for the S scalar ``a``, 6 for a vector."""
+    return [2 if name == "a" else 6 for name in inputs]
+
+
 def _cap(n, d):
     """min(d, mu(n) - 1), mu(n) the least m with n | m!, in at most d steps (so for any prime accepted);
     d for n = 0, the uncapped grids off Z/n."""
@@ -802,15 +856,19 @@ def _require_enumerable(A, names) -> None:
             raise ExhaustiveTooLarge(f"{name} needs an estimated {work} evaluations, past the bound {EXHAUSTIVE_WORK}")
 
 
-def _fails(view, sides, n, degrees, prefix=()) -> bool:
+def _fails(view, sides, n, degrees, prefix=(), ranks=None) -> bool:
     """Whether ``sides`` disagrees on the view somewhere on the product of its arguments' grids ``_grid(n, r, d)``
-    with leading coordinates ``prefix``.  Off Z/n (n = 0) the int rows are read through one table of constants."""
-    r = view.rank
-    heads = [prefix[m * r : (m + 1) * r] for m in range(len(degrees))]
-    grids = [[h + t for t in _grid(n, r - len(h), d)] for h, d in zip(heads, degrees)]
+    with leading coordinates ``prefix``, r each argument's coordinate count in ``ranks`` (by default the view's
+    rank).  Off Z/n (n = 0) the int rows are read through one table of constants; on a ``_SpaceView`` a row
+    of six is read as a vector of three S-pairs, and a row of two is the S scalar itself."""
+    ranks = ranks or [view.rank] * len(degrees)
+    heads = [prefix[end - r : end] for r, end in zip(ranks, accumulate(ranks))]
+    grids = [[h + t for t in _grid(n, r - len(h), d)] for h, r, d in zip(heads, ranks, degrees)]
     if not n:
         table = [view.ring.of_int(c) for c in range(max(degrees) + 1)]
         grids = [[tuple([table[c] for c in row]) for row in rows] for rows in grids]
+    if isinstance(view, _SpaceView):
+        grids = [[row if len(row) == 2 else (row[:2], row[2:4], row[4:]) for row in rows] for rows in grids]
     return not all(eq(*sides(view, *xs)) for xs in product(*grids))
 
 

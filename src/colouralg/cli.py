@@ -281,8 +281,16 @@ def cmd_graded_info(config: dict, args) -> int:
     return 0 if all(c["pass"] for c in out["checks"]) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end as every other bad input does: ``_fail``'s JSON record on
+    stderr and exit 2 (``--help`` still prints and exits 0)."""
+
+    def error(self, message):
+        sys.exit(_fail(argparse.ArgumentError(None, message)))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="colouralg", description=__doc__)
+    parser = _Parser(prog="colouralg", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, about):

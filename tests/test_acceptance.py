@@ -210,7 +210,7 @@ def test_criterion_06_hermitian_cross_identities_10k():
     assert all(swapped_double_cross_fails(s) for _, s in spaces)
     print(
         "\nACCEPTANCE 6: PASS - all 7 hermitian cross-product identities on "
-        "10000 seeded draws over the split torus and over F7[sqrt(3)]; the "
+        "10000 samples over the split torus and over F7[sqrt(3)]; the "
         "conjugation-swapped double-cross variant fails as expected"
     )
 

@@ -1130,31 +1130,70 @@ def test_space_guard_refuses_a_rare_h_fault(monkeypatch):
             assert all(r.passed for r in checks.run_suite(A, "herm-cross", sampler))
 
 
+def _settles(A, name, count):
+    """Whether a seeded cross identity at ``count`` samples settles on its grid over A's guarded space view."""
+    grid, (inputs, sides) = checks._settling_grid(A, name, count), checks.CROSS_IDENTITIES[name]
+    return bool(grid) and not checks._fails(checks._space_view(A.space), sides, *grid, ranks=checks._cross_ranks(inputs))
+
+
+def test_cross_degrees_equal_the_hand_table():
+    # h and cross are R-bilinear and mat_det R-trilinear: degrees in each input's R-coordinates
+    degrees = {name: checks._cross_degrees(*spec) for name, spec in checks.CROSS_IDENTITIES.items()}
+    assert degrees == {
+        "cross-defining": (1, 1, 1),
+        "cross-orthogonality": (2, 2),
+        "cross-semilinearity": (1, 1, 1),
+        "cross-trilinear-symmetry": (1, 1, 1),
+        "cross-double-left": (2, 1),
+        "cross-double-right": (1, 2),
+        "cross-flexibility": (2, 1),
+    }
+    # so over F7 at 300 samples (4 grid points a draw) every law settles, on 147 to 784 points
+    A = algebras.WHermAlgebra(CROSS_VIEW_SPACES["split/7/I"])
+    sizes = [
+        prod(checks._grid_size(7, r, d) for r, d in zip(checks._cross_ranks(inputs), checks._cross_degrees(inputs, sides)))
+        for inputs, sides in checks.CROSS_IDENTITIES.values()
+    ]
+    assert (min(sizes), max(sizes)) == (147, 784)
+    assert all(checks._settling_grid(A, name, 300) for name in checks.CROSS_IDENTITIES)
+
+
 def test_seeded_cross_reports_on_the_view_equal_the_scalar_path():
-    # passing spaces and bilinear planted faults (an alpha set after validation, h with swapped arguments)
+    # every space of CROSS_VIEW_SPACES and bilinear planted faults (an alpha set after validation, h with
+    # swapped arguments), at counts where no grid, some grids and every grid fits (300); the scalar path
+    # reads A's space alone, so its reports at 300 are computed once for the three families
     swapped = type("SwappedH", (HermitianSpace,), {"h": lambda self, u, v: HermitianSpace.h(self, v, u)})
-    spaces = [
-        CROSS_VIEW_SPACES["split/15/twisted"],
-        CROSS_VIEW_SPACES["trivec:kummer/F7/dense"],
+    faults = [
         _alpha_doubled(etale.SplitTorus(rings.IntegersMod(15))),
         _alpha_doubled(etale.KummerExtension(F7, 3)),
         swapped(*_kummer(F7), (1, 0)),
     ]
     failing = 0
-    for P in spaces:
+    for P in [*CROSS_VIEW_SPACES.values(), *faults]:
         assert checks._space_view(P) is not None
-        for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra):
-            A = cls(P)
+        families = [cls(P) for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra)]
+        for A in families:
             for sampler in (Sampler(seed=5, count=1), Sampler(seed=11, count=60)):
                 scalar = scalar_cross_reports(A, sampler)
                 assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
                 failing += sum(not r["pass"] for r in scalar)
+        sampler = Sampler(seed=13, count=300)
+        scalar = scalar_cross_reports(families[0], sampler)
+        for A in families:
+            assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
+        # every law that holds settles on its grid; a fault that keeps h and cross bilinear fails there
+        settled = [_settles(families[0], name, 300) for name in checks.CROSS_IDENTITIES]
+        assert settled == [r["pass"] for r in scalar]
+        if any(P is fault for fault in faults):
+            assert not all(settled)
+        failing += sum(not r["pass"] for r in scalar)
     assert failing
 
 
-def test_seeded_herm_cross_draws_as_many_residues_as_the_scalar_path(monkeypatch):
-    # one stream per identity, drawing 6 residues per vector and 2 per scalar up to its verdict,
-    # on the view as on the scalar path; the guard draws 12 per pair from a stream of its own, first
+def test_seeded_herm_cross_draws_only_for_identities_the_grid_leaves_open(monkeypatch):
+    # the guard draws 12 residues per pair from a stream of its own, first; then one stream per identity
+    # its grid does not settle, drawing 6 residues per vector and 2 per scalar up to its verdict, as the
+    # scalar path does; a settled identity draws none
     streams = {}
     real = SplitMix64.next_u64
 
@@ -1163,30 +1202,46 @@ def test_seeded_herm_cross_draws_as_many_residues_as_the_scalar_path(monkeypatch
         return real(self)
 
     monkeypatch.setattr(SplitMix64, "next_u64", counted)
-    sampler = Sampler(seed=3, count=40)
-    for P in (CROSS_VIEW_SPACES["kummer/15/twisted"], _alpha_doubled(etale.KummerExtension(F7, 3))):
+    fault = _alpha_doubled(etale.KummerExtension(F7, 3))
+    for P in (CROSS_VIEW_SPACES["kummer/15/twisted"], CROSS_VIEW_SPACES["split/7/I"], fault):
         A = algebras.CayleyAlgebra(P)
-        streams.clear()
-        scalar = scalar_cross_reports(A, sampler)
-        expected = [
-            r["samples"] * sum(2 if c == "a" else 6 for c in checks.CROSS_IDENTITIES[r["identity"]][0]) for r in scalar
-        ]
-        assert [c for _, c in streams.values()] == expected
-        streams.clear()
-        assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
-        assert [c for _, c in streams.values()] == [12 * checks.GUARD_PAIRS, *expected]
+        for count in (1, 40, 300):
+            sampler = Sampler(seed=3, count=count)
+            settled = [_settles(A, name, count) for name in checks.CROSS_IDENTITIES]
+            streams.clear()
+            scalar = scalar_cross_reports(A, sampler)
+            drawn = [
+                r["samples"] * sum(2 if c == "a" else 6 for c in checks.CROSS_IDENTITIES[r["identity"]][0])
+                for r in scalar
+            ]
+            assert [c for _, c in streams.values()] == drawn
+            streams.clear()
+            assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
+            open_ = [d for d, s in zip(drawn, settled) if not s]
+            assert [c for _, c in streams.values()] == [12 * checks.GUARD_PAIRS, *open_]
+            # at one sample no grid fits; at 40 only the 147 points of cross-semilinearity do; on a sound
+            # space at 300 all seven settle
+            if count == 1:
+                assert not any(settled)
+            elif count == 40:
+                assert settled == [name == "cross-semilinearity" for name in checks.CROSS_IDENTITIES]
+            elif P is not fault:
+                assert all(settled)
+            else:
+                assert not all(settled) and any(settled)
 
 
 def test_cross_identity_alone_reports_as_in_its_suite():
-    sampler = Sampler(seed=7, count=30)
-    for P in (
-        CROSS_VIEW_SPACES["split/7/twisted"],
-        _alpha_doubled(etale.SplitTorus(rings.IntegersMod(15))),
-        _RareH(*_split_f7(), (1, 1)),
-    ):
-        for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra):
-            A = cls(P)
-            suite = [r.to_json() for r in checks.run_suite(A, "all-applicable", sampler)]
-            alone = [checks.run_identity(A, r["identity"], sampler).to_json() for r in suite]
-            assert alone == suite
-            assert [r["identity"] for r in suite][-7:] == list(checks.CROSS_IDENTITIES)
+    # at 30 samples and at 300, where every cross identity on a guarded view takes its grid
+    for sampler in (Sampler(seed=7, count=30), Sampler(seed=7, count=300)):
+        for P in (
+            CROSS_VIEW_SPACES["split/7/twisted"],
+            _alpha_doubled(etale.SplitTorus(rings.IntegersMod(15))),
+            _RareH(*_split_f7(), (1, 1)),
+        ):
+            for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra):
+                A = cls(P)
+                suite = [r.to_json() for r in checks.run_suite(A, "all-applicable", sampler)]
+                alone = [checks.run_identity(A, r["identity"], sampler).to_json() for r in suite]
+                assert alone == suite
+                assert [r["identity"] for r in suite][-7:] == list(checks.CROSS_IDENTITIES)

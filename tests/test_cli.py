@@ -537,8 +537,25 @@ def test_check_rejects_non_positive_samples_flag(col_cfg, samples):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_help_keeps_the_subcommand_table():
+    rc, out, _ = run_cli("--help")
+    assert rc == 0
+    assert "    colouralg build CONFIG              # family metadata + structure constants" in out.splitlines()
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "abc"), ("--mode", "bogus")])
+def test_usage_errors_are_json_with_exit_two(col_cfg, flag, value):
+    rc, out, err = run_cli("check", col_cfg, flag, value)
+    assert rc == 2
+    assert out == ""
+    record = json.loads(err)
+    assert set(record) == {"error", "message"}
+    assert record["error"] == "ArgumentError"
+    assert record["message"].startswith(f"argument {flag}: invalid") and repr(value) in record["message"]
+
+
 def test_check_refuses_samples_past_the_work_bound(tmp_path):
-    # cross identities draw every sample, so an unbounded count would run for hours
+    # an identity its grid leaves open draws every sample, so an unbounded count would run for hours
     cfg = write(tmp_path, "c.json", _HERM_F5)
     proc = subprocess.run(
         [sys.executable, "-m", "colouralg", "check", cfg, "--suite", "herm-cross", "--samples", "1000000000000"],
