@@ -17,25 +17,26 @@ rings), before any work refused past a fixed bound on the evaluations it may
 take.  Every element identity of every family runs there on the algebra's
 structure constants, one coordinate tuple at a time (``_CoordView``); the
 report at the lowest failing index comes from the scalar identity, so it is
-the one a scalar enumeration would give.  One draw loop runs every seeded
-element identity: over Z/n it feeds the draws' coordinate tuples
-(``Algebra.sample_coords``) to the view, elsewhere the drawn elements to the
-handle.  So over Z/n the seeded and exhaustive verdicts both hold for the
-bilinear algebra fixed by the basis products, and every report comes from
-the scalar identity.  Before a seeded call uses a view,
-``_guard`` compares its product, norm and trace with the scalar ones on
-``GUARD_PAIRS`` pairs drawn from a SplitMix64 stream of their own
-(``GUARD_SEED``), so no identity's stream moves; if one pair disagrees, as a
-``mul`` that is not bilinear can make it, the whole call runs scalar draws.
+the one a scalar enumeration would give.
 
 The seeded cross identities over Z/n run on a view of the hermitian space
 (``_SpaceView``): its own S and alpha, with ``h`` and ``cross`` compiled to
 straight-line int functions from their values on the 36 pairs of coordinate
-unit vectors, as both maps are R-bilinear.  ``_space_guard`` compares them
-with the space's own on ``GUARD_PAIRS`` pairs of vectors drawn from the
-``GUARD_SEED`` stream; if one pair disagrees, as a cross product off by one
-on a rare input makes it, the call takes the scalar path.  Off Z/n the cross
-identities always take the scalar path.  Draws and reports are those of the
+unit vectors, as both maps are R-bilinear.  Off Z/n the cross identities
+always take the scalar path.
+
+One chooser, ``_views``, picks a call's views before any work, and one draw
+loop, ``_run``, runs every seeded identity: over Z/n it feeds the draws'
+coordinate tuples (``Algebra.sample_coords``, or the space's vectors) to the
+view, elsewhere the drawn elements to the handle.  So over Z/n the seeded
+and exhaustive verdicts both hold for the bilinear algebra fixed by the
+basis products, and every report comes from the scalar identity.  Before a
+seeded call uses a view, ``_guarded`` checks that it ``agrees`` with the
+scalar ops (product, norm and trace of the algebra; h and cross of the
+space) on ``GUARD_PAIRS`` pairs drawn from a SplitMix64 stream of their own
+(``GUARD_SEED``), so no identity's stream moves; if one pair disagrees, as a
+``mul`` that is not bilinear or a cross product off by one on a rare input
+makes it, the call runs scalar draws.  Draws and reports are those of the
 scalar path either way, and on the view an identity may settle on its grid
 without drawing (below).
 
@@ -75,7 +76,7 @@ times C(x, a) (Newton interpolation on lower sets), so the uncapped L(d)
 input.  That covers Q, polynomial rings over Q, and polynomial rings over
 Z/n whose least prime exceeds max d_m; a polynomial ring over any other Z/n
 draws (x^3 - x vanishes on F_3, not at t).  A cross identity settles only
-on a ``_SpaceView`` that passed ``_space_guard``, hence over Z/n.  There h
+on a ``_SpaceView`` that passed ``_guarded``, hence over Z/n.  There h
 and cross are R-bilinear and S's ops R-polynomial, so the law is an integer
 polynomial in the six R-coordinates of each vector and the two of the S
 scalar ``a``, of the degrees ``_SpaceDegree`` reads off its ``sides``; its
@@ -135,7 +136,7 @@ __all__ = [
 # the bound on an exhaustive identity's evaluation estimate (module docstring)
 EXHAUSTIVE_WORK = 10**6
 
-# the pairs on which a seeded coordinate view must agree with the scalar ops (``_guard``), and their seed
+# the pairs on which a seeded view must agree with the scalar ops (``_guarded``), and their seed
 GUARD_PAIRS, GUARD_SEED = 32, 0x6775617264
 
 
@@ -414,107 +415,95 @@ _BUILD = object()  # run_identity's default view: chosen for that identity alone
 
 def run_identity(A, identity: str, sampler: Sampler, view=_BUILD) -> CheckReport:
     """Check one named identity.  Ungated: the caller chooses applicability.
-    ``view``: the view the caller chose for its whole call, ``_coord_view`` for an element identity and
-    ``_space_view`` for a cross identity (None: the scalar path), else chosen for this identity."""
+    ``view``: the view ``_views`` chose for the caller's whole call (None: the scalar path), else chosen
+    for this identity alone."""
     t0 = time.perf_counter()
-    if identity in CROSS_IDENTITIES:
-        report = _run_cross_identity(A, identity, sampler, view)
-    elif identity in ELEMENT_IDENTITIES:
-        if view is _BUILD:
-            view = _coord_view(A, sampler, [identity])
-        report = _run_element_identity(A, identity, sampler, view)
-    else:
+    if identity not in ELEMENT_IDENTITIES and identity not in CROSS_IDENTITIES:
         raise SuiteNotApplicable(f"unknown identity {identity!r}")
+    if view is _BUILD:
+        view = _views(A, sampler, [identity])[identity]
+    report = _run(A, identity, sampler, view)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
-def _run_cross_identity(A, identity, sampler, view) -> CheckReport:
+def _views(A, sampler, names) -> dict:
+    """The view each identity of ``names`` runs on (None: the scalar path), chosen for the whole call and
+    before any work: A's ``_CoordView`` for the element identities, the ``_SpaceView`` of A's hermitian
+    space for the cross identities.  In exhaustive mode the coordinate view is built once ``names`` are
+    admitted.  In seeded mode a view is built over Z/n, where the draws run on it, and elsewhere only when
+    an element identity of ``names`` settles on its grid; it is used only if it passes ``_guarded``."""
+    cross = [name for name in names if name in CROSS_IDENTITIES]
+    element = [name for name in names if name not in cross]
     if sampler.mode == "exhaustive":
-        raise ExhaustiveTooLarge("cross identities support seeded sampling only")
+        if element:  # the error that running them in order would raise: cross identities run last
+            _require_enumerable(A, element)
+        if cross:
+            raise ExhaustiveTooLarge("cross identities support seeded sampling only")
+        return dict.fromkeys(names, _CoordView(A))
     P = getattr(A, "space", None)
-    if P is None:
+    if cross and P is None:
         raise SuiteNotApplicable(f"{A.family} has no hermitian space")
-    if view is _BUILD:
-        view = _space_view(P)
-    inputs, sides = CROSS_IDENTITIES[identity]
-    grid = None if view is None else _settling_grid(A, identity, sampler.count)
-    if grid and not _fails(view, sides, *grid, ranks=_cross_ranks(inputs)):  # a pass on the grids proves the law
-        return CheckReport(identity, sampler.count, True, None)
-    handle = P if view is None else view
-    S = P.S
-
-    def draw(rng):
-        return [S.sample(rng) if name == "a" else P.sample_vec(rng) for name in inputs]
-
-    def describe(index, xs):
-        bad = {n: S.to_json(x) if n == "a" else [S.to_json(c) for c in x] for n, x in zip(inputs, xs)}
-        bad["index"] = index
-        return bad
-
-    return first_failure(identity, draws(sampler, draw), lambda xs: eq(*sides(handle, *xs)), describe)
+    finite = isinstance(A.ring, IntegersMod)
+    coord = space = None
+    if element and (finite or any(_settling_grid(A, name, sampler.count) for name in element)):
+        coord = _guarded(_CoordView(A), A, type(A).sample_coords)
+    if cross and finite:
+        space = _guarded(_SpaceView(P), P, type(P).sample_vec)
+    return {name: space if name in cross else coord for name in names}
 
 
-def _run_element_identity(A, identity, sampler, view) -> CheckReport:
-    arity, sides, _ = ELEMENT_IDENTITIES[identity]
+def _guarded(view, owner, sample):
+    """The view if it ``agrees`` with its owner on ``GUARD_PAIRS`` pairs drawn, x then y, by the class's
+    draw ``sample`` from a stream of their own, else None.  The class's draw keeps a draw hook set on the
+    handle for the identities' streams."""
+    rng = SplitMix64(GUARD_SEED)
+    return view if all(view.agrees(owner, sample(owner, rng), sample(owner, rng)) for _ in range(GUARD_PAIRS)) else None
+
+
+def _run(A, identity, sampler, view) -> CheckReport:
+    """One identity on its view: the exhaustive driver, else a pass on the grids when they settle it, else
+    ``sampler.count`` draws, on the view over Z/n and on the scalar ops elsewhere or when the guard refused
+    the view."""
     if sampler.mode == "exhaustive":
         return _colsplit_exhaustive_pairs(A, identity, view)
+    args, sides = _law(identity)
     grid = None if view is None else _settling_grid(A, identity, sampler.count)
-    if grid and not _fails(view, sides, *grid):  # a pass on the grids proves the law (module docstring)
+    if grid and not _fails(view, sides, *grid, _ranks(A, args)):  # a pass on the grids proves the law
         return CheckReport(identity, sampler.count, True, None)
-    if view is not None and view.n:  # over Z/n the view takes the draws' coordinate tuples
-        handle, sample, elements = view, A.sample_coords, lambda cs: [*map(A.from_coords, cs)]
-    else:  # scalar draws: off Z/n, or the guard refused the view
-        handle, sample, elements = A, A.sample, list
-    cases = draws(sampler, lambda rng: [sample(rng) for _ in range(arity)])
-    describe = lambda i, xs: _failure(A, identity, i, elements(xs))  # noqa: E731
+    on_view = view is not None and view.n
+    if isinstance(args, int):  # an element identity: coordinate tuples on the view, elements off it
+        handle, samples = (view, [A.sample_coords] * args) if on_view else (A, [A.sample] * args)
+        describe = lambda i, xs: _failure(A, identity, i, [*map(A.from_coords, xs)] if on_view else xs)  # noqa: E731
+    else:  # a cross identity: vectors of A's space and S scalars, on the view and off it
+        P = A.space
+        handle, samples = view if on_view else P, [P.S.sample if name == "a" else P.sample_vec for name in args]
+
+        def describe(index, xs):
+            bad = {n: P.S.to_json(x) if n == "a" else [P.S.to_json(c) for c in x] for n, x in zip(args, xs)}
+            bad["index"] = index
+            return bad
+
+    cases = draws(sampler, lambda rng: [sample(rng) for sample in samples])
     return first_failure(identity, cases, lambda xs: eq(*sides(handle, *xs)), describe)
 
 
-def _coord_view(A, sampler, names):
-    """The view A's element identities ``names`` run on, or None for the scalar path.  In exhaustive
-    mode it is built once ``names`` are admitted.  In seeded mode it is built over Z/n, where the draws
-    run on it, and elsewhere only when one of ``names`` settles on its grid; it is used only if it
-    passes ``_guard``."""
-    if sampler.mode == "exhaustive":
-        _require_enumerable(A, names)
-        return _CoordView(A)
-    if isinstance(A.ring, IntegersMod) or any(_settling_grid(A, name, sampler.count) for name in names):
-        view = _CoordView(A)
-        return view if _guard(A, view) else None
-    return None
-
-
-def _guard(A, view) -> bool:
-    """Whether the view's product, norm and trace equal A's own on ``GUARD_PAIRS`` pairs drawn from a
-    stream of their own.  They come from the class's draw, so a draw hook set on the handle keeps its
-    stream for the identities."""
-    rng, sample = SplitMix64(GUARD_SEED), type(A).sample_coords
-    for _ in range(GUARD_PAIRS):
-        cx, cy = sample(A, rng), sample(A, rng)
-        x = A.from_coords(cx)
-        if A.coords(A.mul(x, A.from_coords(cy))) != view.mul(cx, cy) or A.norm(x) != view.norm(cx):
-            return False
-        if A.unital and A.trace(x) != view.trace(cx):
-            return False
-    return True
+def _law(identity):
+    """``(args, sides)``: an element identity's arity or a cross identity's inputs, and its ``sides``."""
+    return (CROSS_IDENTITIES.get(identity) or ELEMENT_IDENTITIES[identity])[:2]
 
 
 def _settling_grid(A, identity, count):
     """``(n, degrees)`` when the grids ``_grid(n, r, d)`` of the identity's argument degrees d settle it
-    over A.ring and cost no more than ``count`` draws (module docstring), else None.  r is each argument's
-    coordinate count: A's rank for an element, ``_cross_ranks`` for the inputs of a cross identity."""
-    if identity in CROSS_IDENTITIES:
-        inputs, sides = CROSS_IDENTITIES[identity]
-        degrees, ranks = _cross_degrees(inputs, sides), _cross_ranks(inputs)
-    else:
-        arity, sides, _ = ELEMENT_IDENTITIES[identity]
-        degrees, ranks = _degrees(sides, arity), [A.rank] * arity
+    over A.ring and cost no more than ``count`` draws (module docstring), else None; r is each argument's
+    coordinate count (``_ranks``)."""
+    args, sides = _law(identity)
+    degrees = _degrees(sides, args)
     n = A.ring.n if isinstance(A.ring, IntegersMod) else 0
     base = getattr(A.ring, "base", None)
     if isinstance(base, IntegersMod) and gcd(factorial(max(degrees)), base.n) > 1:
         return None
-    if prod(_grid_size(n, r, d) for r, d in zip(ranks, degrees)) > _points_per_draw(A.ring) * count:
+    if prod(_grid_size(n, r, d) for r, d in zip(_ranks(A, args), degrees)) > _points_per_draw(A.ring) * count:
         return None
     return n, degrees
 
@@ -624,6 +613,13 @@ class _CoordView:
     def zero(self):
         return self._zero
 
+    def agrees(self, A, x, y) -> bool:
+        """Whether the product of coordinate tuples x, y and the norm and trace of x equal A's own (``_guarded``)."""
+        a = A.from_coords(x)
+        if A.coords(A.mul(a, A.from_coords(y))) != self.mul(x, y) or A.norm(a) != self.norm(x):
+            return False
+        return not A.unital or A.trace(a) == self.trace(x)
+
 
 # ------------------------------------------------------------ hermitian space view
 #
@@ -683,33 +679,17 @@ def _compile(source):
 
 
 class _SpaceView:
-    """A hermitian space over Z/n for the cross identities: P's ``S`` and ``alpha``, and ``h`` and ``cross``
-    compiled from their structure constants; ``sources`` keeps each one's generated expression."""
+    """A hermitian space over Z/n (``n``) for the cross identities: P's ``S`` and ``alpha``, and ``h`` and
+    ``cross`` compiled from their structure constants; ``sources`` keeps each one's generated expression."""
 
     def __init__(self, P):
-        self.S, self.alpha = P.S, P.alpha
+        self.S, self.alpha, self.n = P.S, P.alpha, P.S.n
         self.sources = {name: _bilinear_source(getattr(P, name), P.S.n) for name in ("h", "cross")}
         self.h, self.cross = _compile(self.sources["h"]), _compile(self.sources["cross"])
 
-
-def _space_view(P):
-    """The view P's seeded cross identities run on: over Z/n its ``_SpaceView`` if that passes
-    ``_space_guard``, else None for the scalar path."""
-    if not P.S.n:
-        return None
-    view = _SpaceView(P)
-    return view if _space_guard(P, view) else None
-
-
-def _space_guard(P, view) -> bool:
-    """Whether the view's h and cross equal P's own on ``GUARD_PAIRS`` pairs of vectors drawn, as
-    ``_guard`` draws its pairs, from a stream of their own through the class's draw."""
-    rng, sample = SplitMix64(GUARD_SEED), type(P).sample_vec
-    for _ in range(GUARD_PAIRS):
-        u, v = sample(P, rng), sample(P, rng)
-        if view.h(u, v) != P.h(u, v) or view.cross(u, v) != P.cross(u, v):
-            return False
-    return True
+    def agrees(self, P, u, v) -> bool:
+        """Whether h and cross of the vectors u, v equal P's own (``_guarded``)."""
+        return self.h(u, v) == P.h(u, v) and self.cross(u, v) == P.cross(u, v)
 
 
 def colsplit_mul_batch(B, X, Y):
@@ -767,11 +747,6 @@ class _Degree:
         return 0
 
 
-def _degrees(sides, arity) -> list[int]:
-    """Upper bounds on the degree of an identity in each of its arguments."""
-    return [max(sides(_Degree(), *[int(k == m) for k in range(arity)])) for m in range(arity)]
-
-
 class _SpaceDegree(_Degree):
     """``_Degree`` for the cross identities, through the ``sides(P, *inputs)`` protocol: the space and its
     S at once.  An S value is its degree in one input's R-coordinates and a vector the 3-tuple of its
@@ -797,19 +772,24 @@ def _top(value) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cross_degrees(inputs, sides) -> tuple[int, ...]:
-    """Upper bounds on the degree of a cross identity in each input's R-coordinates; memoised, as each
-    identity's bounds are fixed."""
+def _degrees(sides, args) -> list[int]:
+    """Upper bounds on the degree of a law in each argument's coordinates, ``args`` as in ``_law``: an
+    element identity runs on ``_Degree``, a cross identity on ``_SpaceDegree`` with a vector's degree a
+    3-tuple.  Memoised on ``sides``, not the name, as a law's bounds are fixed; the list is shared, so
+    callers must not change it."""
+    element = isinstance(args, int)
+    vectors = [False] * args if element else [name != "a" for name in args]
 
-    def at(m):  # input m of degree 1, the others of degree 0
-        return [int(k == m) if name == "a" else (int(k == m),) * 3 for k, name in enumerate(inputs)]
+    def at(m):  # argument m of degree 1, the others of degree 0
+        return [(int(k == m),) * 3 if vector else int(k == m) for k, vector in enumerate(vectors)]
 
-    return tuple(_top(sides(_SpaceDegree(), *at(m))) for m in range(len(inputs)))
+    return [_top(sides(_Degree() if element else _SpaceDegree(), *at(m))) for m in range(len(vectors))]
 
 
-def _cross_ranks(inputs) -> list[int]:
-    """The R-coordinates of each input of a cross identity: 2 for the S scalar ``a``, 6 for a vector."""
-    return [2 if name == "a" else 6 for name in inputs]
+def _ranks(A, args) -> list[int]:
+    """The coordinate count of each argument, ``args`` as in ``_law``: A's rank for an element, and for a
+    cross identity's inputs 2 for the S scalar ``a`` and 6 for a vector."""
+    return [A.rank] * args if isinstance(args, int) else [2 if name == "a" else 6 for name in args]
 
 
 def _cap(n, d):
@@ -856,12 +836,11 @@ def _require_enumerable(A, names) -> None:
             raise ExhaustiveTooLarge(f"{name} needs an estimated {work} evaluations, past the bound {EXHAUSTIVE_WORK}")
 
 
-def _fails(view, sides, n, degrees, prefix=(), ranks=None) -> bool:
+def _fails(view, sides, n, degrees, ranks, prefix=()) -> bool:
     """Whether ``sides`` disagrees on the view somewhere on the product of its arguments' grids ``_grid(n, r, d)``
-    with leading coordinates ``prefix``, r each argument's coordinate count in ``ranks`` (by default the view's
-    rank).  Off Z/n (n = 0) the int rows are read through one table of constants; on a ``_SpaceView`` a row
-    of six is read as a vector of three S-pairs, and a row of two is the S scalar itself."""
-    ranks = ranks or [view.rank] * len(degrees)
+    with leading coordinates ``prefix``, r each argument's coordinate count in ``ranks`` (``_ranks``).  Off
+    Z/n (n = 0) the int rows are read through one table of constants; on a ``_SpaceView`` a row of six is
+    read as a vector of three S-pairs, and a row of two is the S scalar itself."""
     heads = [prefix[end - r : end] for r, end in zip(ranks, accumulate(ranks))]
     grids = [[h + t for t in _grid(n, r - len(h), d)] for h, r, d in zip(heads, ranks, degrees)]
     if not n:
@@ -875,16 +854,16 @@ def _fails(view, sides, n, degrees, prefix=(), ranks=None) -> bool:
 def _colsplit_exhaustive_pairs(A, identity: str, view) -> CheckReport:
     """Exhaustive driver for every family, arity and Z/n: a pass on the capped grids, then a descent
     that tries each coordinate only up to its argument's cap (module docstring).
-    ``view``: A's ``_CoordView`` from ``_coord_view``, shared by the suite.
+    ``view``: A's ``_CoordView`` from ``_views``, shared by the suite.
     perfbench's tracer counts its calls by this name."""
     arity, sides, _ = ELEMENT_IDENTITIES[identity]
-    n, r = A.ring.n, A.rank
+    n, r, ranks = A.ring.n, A.rank, _ranks(A, arity)
     degrees = _degrees(sides, arity)
-    if not _fails(view, sides, n, degrees):
+    if not _fails(view, sides, n, degrees, ranks):
         return CheckReport(identity, n ** (arity * r), True, None)
     prefix, index = (), 0
     for cap in [_cap(n, d) for d in degrees for _ in range(r)]:  # each coordinate's, in enumeration order
-        c = next(c for c in range(cap + 1) if _fails(view, sides, n, degrees, prefix + (c,)))
+        c = next(c for c in range(cap + 1) if _fails(view, sides, n, degrees, ranks, prefix + (c,)))
         prefix, index = prefix + (c,), index * n + c
     elems = [A.from_coords(prefix[m * r : (m + 1) * r]) for m in range(arity)]
     return CheckReport(identity, index + 1, False, _failure(A, identity, index, elems))
@@ -900,15 +879,8 @@ def run_suite(A, suite: str, sampler: Sampler) -> list[CheckReport]:
         raise SuiteNotApplicable(f"suite {suite!r} does not apply to {A.family}")
     else:
         names = SUITES[suite]
-    element = [name for name in names if name in ELEMENT_IDENTITIES]
-    if sampler.mode == "exhaustive" and len(element) < len(names):
-        # fail before any work, with the error that running them in order would raise: cross identities run last
-        if element:
-            _require_enumerable(A, element)
-        raise ExhaustiveTooLarge("cross identities support seeded sampling only")
-    view = _coord_view(A, sampler, element) if element else None
-    space = _space_view(A.space) if len(element) < len(names) else None
-    return [run_identity(A, name, sampler, view if name in ELEMENT_IDENTITIES else space) for name in names]
+    views = _views(A, sampler, names)
+    return [run_identity(A, name, sampler, views[name]) for name in names]
 
 
 # --------------------------------------------------- cross-construction

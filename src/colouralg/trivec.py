@@ -60,25 +60,26 @@ __all__ = [
 
 
 # ------------------------------------------------------------- vectors
+# tuples from lists: a tuple built from an iterator is allocated larger and shrunk
 
 def vec_add(K, u, v):
-    return tuple(K.add(a, b) for a, b in zip(u, v))
+    return tuple([K.add(a, b) for a, b in zip(u, v)])
 
 
 def vec_sub(K, u, v):
-    return tuple(K.sub(a, b) for a, b in zip(u, v))
+    return tuple([K.sub(a, b) for a, b in zip(u, v)])
 
 
 def vec_neg(K, u):
-    return tuple(K.neg(a) for a in u)
+    return tuple([K.neg(a) for a in u])
 
 
 def vec_smul(K, s, u):
-    return tuple(K.mul(s, a) for a in u)
+    return tuple([K.mul(s, a) for a in u])
 
 
 def vec_conj(S: EtaleAlgebra, u):
-    return tuple(S.conj(a) for a in u)
+    return tuple([S.conj(a) for a in u])
 
 
 def classical_cross(K, u, v):

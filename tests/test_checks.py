@@ -546,13 +546,15 @@ def test_exhaustive_failures_do_not_import_numpy():
 def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkeypatch):
     # the hermitian families' cross identities are seeded only, so an
     # exhaustive all-applicable run must refuse before its element identities run
-    calls = []
+    # and before any structure constant is computed
+    calls, built = [], []
 
     def recorded(A, identity, view):
         calls.append(identity)
         return CheckReport(identity, 1, True, None)
 
     monkeypatch.setattr(checks, "_colsplit_exhaustive_pairs", recorded)
+    monkeypatch.setattr(checks, "_constants", lambda A: built.append(A.family))
     S3 = etale.SplitTorus(F3)
     cay = algebras.CayleyAlgebra(HermitianSpace(S3, mat_identity(S3), S3.one))
     with pytest.raises(ExhaustiveTooLarge, match="^cross identities support seeded sampling only$"):
@@ -570,7 +572,27 @@ def test_exhaustive_suite_with_cross_identities_fails_before_any_identity(monkey
     monkeypatch.setattr(checks, "EXHAUSTIVE_WORK", 1000)
     with pytest.raises(ExhaustiveTooLarge, match="^flexible needs an estimated 16605 evaluations, past the bound 1000$"):
         checks.run_suite(cay, "all-applicable", Sampler(mode="exhaustive"))
-    assert calls == []
+    assert calls == [] and built == []
+
+
+@pytest.mark.parametrize(
+    "identity, mode, error, message",
+    [
+        ("nope", "seeded", SuiteNotApplicable, "unknown identity 'nope'"),
+        ("cross-defining", "seeded", SuiteNotApplicable, "col_split has no hermitian space"),
+        ("cross-defining", "exhaustive", ExhaustiveTooLarge, "cross identities support seeded sampling only"),
+    ],
+)
+def test_run_identity_refuses_before_any_work(identity, mode, error, message, monkeypatch):
+    # an unknown name, and a cross identity on a family without a hermitian space: the exhaustive
+    # refusal comes first, and no view is built
+    built = []
+    monkeypatch.setattr(checks, "_constants", lambda A: built.append(A.family))
+    monkeypatch.setattr(checks, "_SpaceView", lambda P: built.append("space"))
+    with pytest.raises(error) as caught:
+        checks.run_identity(algebras.ColSplitAlgebra(F7, 1), identity, Sampler(mode=mode))
+    assert str(caught.value) == message and type(caught.value) is error
+    assert built == []
 
 
 def test_exhaustive_suite_past_the_bound_fails_before_any_identity(monkeypatch):
@@ -830,8 +852,8 @@ def test_settled_reports_equal_drawn_reports(name, drawn, monkeypatch):
 
     def reports():
         # one view for the identity runs, chosen as run_suite chooses it for the largest count
-        view = checks._coord_view(A, Sampler(count=max(c for _, c in runs)), names)
-        out = [checks.run_identity(A, i, Sampler(seed=5, count=c), view).to_json() for i, c in runs]
+        views = checks._views(A, Sampler(count=max(c for _, c in runs)), names)
+        out = [checks.run_identity(A, i, Sampler(seed=5, count=c), views[i]).to_json() for i, c in runs]
         return out + [r.to_json() for r in checks.run_suite(A, "all-applicable", Sampler(seed=5, count=20))]
 
     settled = reports()
@@ -889,7 +911,7 @@ def test_seeded_view_is_built_once_and_only_when_a_grid_settles(monkeypatch):
     # rank 128 over Q at 500 samples: no grid is cheaper than the draws, so no r^2 products
     big = GradedAlgebra(GradedSpec(31, 31, 1), Q)
     assert big.rank == 128
-    assert checks._coord_view(big, Sampler(count=500), list(checks.ELEMENT_IDENTITIES)[:5]) is None
+    assert set(checks._views(big, Sampler(count=500), list(checks.ELEMENT_IDENTITIES)[:5]).values()) == {None}
     assert built == []
     # a product that is not bilinear: the suite builds one view, its guard refuses it,
     # and every identity draws on the scalar product
@@ -905,7 +927,7 @@ def test_seeded_view_is_built_once_and_only_when_a_grid_settles(monkeypatch):
     for op in ("norm", "trace"):
         B = copy.copy(algebras.ColSplitAlgebra(Q, Q.one))
         setattr(B, op, lambda x, form=getattr(B, op): form(x) if x.a in (Q.zero, Q.one) else Q.add(form(x), Q.one))
-        assert not checks._guard(B, checks._CoordView(B))
+        assert not checks._guarded(checks._CoordView(B), B, type(B).sample_coords)
 
 
 def test_coordinate_view_over_q_and_polynomials_agrees_with_scalar_ops():
@@ -920,7 +942,34 @@ def test_coordinate_view_over_q_and_polynomials_agrees_with_scalar_ops():
                 assert V.smul(t, cx) == A.coords(A.smul(t, x)) and V.norm(cx) == A.norm(x)
                 if A.unital:
                     assert V.trace(cx) == A.trace(x) and V.one() == A.coords(A.one())
-            assert checks._guard(A, V)
+            assert checks._guarded(V, A, type(A).sample_coords)
+
+
+class _RecordingView(checks._CoordView):
+    """A coordinate view that records the pairs its product is asked for, and is off by one on the pair ``bad``."""
+
+    def __init__(self, A, bad=None):
+        super().__init__(A)
+        self.pairs, self.bad = [], bad
+
+    def mul(self, x, y):
+        self.pairs.append((x, y))
+        z = super().mul(x, y)
+        return (self.ring.add(z[0], self.ring.one), *z[1:]) if (x, y) == self.bad else z
+
+
+@pytest.mark.parametrize("R", [rings.IntegersMod(15), Q], ids=["Z15", "Q"])
+def test_element_guard_compares_the_pairs_of_its_own_stream(R):
+    # the guard compares exactly GUARD_PAIRS pairs, each drawn x then y through the class's draw
+    # from SplitMix64(GUARD_SEED); a view off on the last of them alone is refused
+    A = algebras.ColSplitAlgebra(R, R.one)
+    rng = SplitMix64(checks.GUARD_SEED)
+    pairs = [(A.sample_coords(rng), A.sample_coords(rng)) for _ in range(checks.GUARD_PAIRS)]
+    assert len(set(pairs)) == checks.GUARD_PAIRS
+    V = _RecordingView(A)
+    assert checks._guarded(V, A, type(A).sample_coords) is V and V.pairs == pairs
+    V = _RecordingView(A, bad=pairs[-1])
+    assert checks._guarded(V, A, type(A).sample_coords) is None and V.pairs == pairs
 
 
 def test_generic_exhaustive_loop_detects_planted_failure():
@@ -1047,6 +1096,13 @@ def _cross_view_spaces():
 
 
 CROSS_VIEW_SPACES = _cross_view_spaces()
+
+
+def space_view(P):
+    """The view ``_views`` chooses for the seeded cross identities of P."""
+    return checks._views(algebras.WHermAlgebra(P), Sampler(), ["cross-defining"])["cross-defining"]
+
+
 # the coordinate unit vectors of P: R-coordinate k is component k % 2 of entry k // 2
 UNIT_VECTORS = [tuple(tuple(int(divmod(k, 2) == (i, c)) for c in range(2)) for i in range(3)) for k in range(6)]
 
@@ -1061,7 +1117,7 @@ def test_space_view_h_and_cross_equal_the_space(name):
     for u, v in pairs:
         assert V.h(u, v) == P.h(u, v)
         assert V.cross(u, v) == P.cross(u, v)
-    assert checks._space_guard(P, V)
+    assert checks._guarded(V, P, type(P).sample_vec)
 
 
 def test_space_view_source_holds_only_coordinates_and_int_literals():
@@ -1091,14 +1147,14 @@ def test_space_view_is_built_over_z_n_only(monkeypatch):
     assert all(r.passed for r in checks.run_suite(A, "herm-cross", Sampler(seed=3, count=50)))
     assert calls == {"h": 36 + checks.GUARD_PAIRS, "cross": 36 + checks.GUARD_PAIRS}
     S = etale.KummerExtension(Q, Q.of_int(2))
-    assert checks._space_view(HermitianSpace(S, mat_identity(S), S.one)) is None
+    assert space_view(HermitianSpace(S, mat_identity(S), S.one)) is None
 
 
 def test_space_guard_refuses_the_golden_rare_cross_spaces():
     # the golden herm-cross:rare-cross cases stay on the scalar path by the guard's verdict, not by luck
     for P in (_RareCross(*_split_f7(), (1, 1)), _RareCross(*_kummer(F7), (1, 0))):
-        assert not checks._space_guard(P, checks._SpaceView(P))
-        assert checks._space_view(P) is None
+        assert not checks._guarded(checks._SpaceView(P), P, type(P).sample_vec)
+        assert space_view(P) is None
 
 
 class _RareH(HermitianSpace):
@@ -1120,38 +1176,38 @@ def test_space_guard_refuses_a_rare_h_fault(monkeypatch):
         P = _RareH(S, mat_identity(S), S.one)
         V = checks._SpaceView(P)
         assert V.sources == checks._SpaceView(HermitianSpace(S, mat_identity(S), S.one)).sources
-        assert not checks._space_guard(P, V)
+        assert not checks._guarded(V, P, type(P).sample_vec)
         A = algebras.WHermAlgebra(P)
         scalar = scalar_cross_reports(A, sampler)
         assert not all(r["pass"] for r in scalar)
         assert [r.to_json() for r in checks.run_suite(A, "herm-cross", sampler)] == scalar
         with monkeypatch.context() as m:  # unguarded, the view is blind to the fault
-            m.setattr(checks, "_space_guard", lambda P, view: True)
+            m.setattr(checks, "_guarded", lambda view, owner, sample: view)
             assert all(r.passed for r in checks.run_suite(A, "herm-cross", sampler))
 
 
 def _settles(A, name, count):
     """Whether a seeded cross identity at ``count`` samples settles on its grid over A's guarded space view."""
     grid, (inputs, sides) = checks._settling_grid(A, name, count), checks.CROSS_IDENTITIES[name]
-    return bool(grid) and not checks._fails(checks._space_view(A.space), sides, *grid, ranks=checks._cross_ranks(inputs))
+    return bool(grid) and not checks._fails(space_view(A.space), sides, *grid, ranks=checks._ranks(A, inputs))
 
 
 def test_cross_degrees_equal_the_hand_table():
     # h and cross are R-bilinear and mat_det R-trilinear: degrees in each input's R-coordinates
-    degrees = {name: checks._cross_degrees(*spec) for name, spec in checks.CROSS_IDENTITIES.items()}
+    degrees = {name: checks._degrees(sides, inputs) for name, (inputs, sides) in checks.CROSS_IDENTITIES.items()}
     assert degrees == {
-        "cross-defining": (1, 1, 1),
-        "cross-orthogonality": (2, 2),
-        "cross-semilinearity": (1, 1, 1),
-        "cross-trilinear-symmetry": (1, 1, 1),
-        "cross-double-left": (2, 1),
-        "cross-double-right": (1, 2),
-        "cross-flexibility": (2, 1),
+        "cross-defining": [1, 1, 1],
+        "cross-orthogonality": [2, 2],
+        "cross-semilinearity": [1, 1, 1],
+        "cross-trilinear-symmetry": [1, 1, 1],
+        "cross-double-left": [2, 1],
+        "cross-double-right": [1, 2],
+        "cross-flexibility": [2, 1],
     }
     # so over F7 at 300 samples (4 grid points a draw) every law settles, on 147 to 784 points
     A = algebras.WHermAlgebra(CROSS_VIEW_SPACES["split/7/I"])
     sizes = [
-        prod(checks._grid_size(7, r, d) for r, d in zip(checks._cross_ranks(inputs), checks._cross_degrees(inputs, sides)))
+        prod(checks._grid_size(7, r, d) for r, d in zip(checks._ranks(A, inputs), checks._degrees(sides, inputs)))
         for inputs, sides in checks.CROSS_IDENTITIES.values()
     ]
     assert (min(sizes), max(sizes)) == (147, 784)
@@ -1170,7 +1226,7 @@ def test_seeded_cross_reports_on_the_view_equal_the_scalar_path():
     ]
     failing = 0
     for P in [*CROSS_VIEW_SPACES.values(), *faults]:
-        assert checks._space_view(P) is not None
+        assert space_view(P) is not None
         families = [cls(P) for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra, algebras.WHermAlgebra)]
         for A in families:
             for sampler in (Sampler(seed=5, count=1), Sampler(seed=11, count=60)):

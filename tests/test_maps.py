@@ -618,12 +618,12 @@ def test_non_bilinear_product_fault_is_sent_to_scalar_draws_by_the_guard(monkeyp
         # the view is built from basis products, which the fault spares; its guard
         # sees the difference and sends the element-identity suites to scalar draws
         A = WSplitAlgebra(R, two)
-        assert not checks._guard(A, checks._CoordView(A))
+        assert not checks._guarded(checks._CoordView(A), A, type(A).sample_coords)
         assert not all(r.passed for r in checks.run_suite(A, "all-applicable", sampler))
     assert not checks.cross_construction_check(F7, 3, sampler).passed
     # over Q at this count both identities settle on their grids, whose coordinates
     # (at most the degree, 3) the fault spares: without the guard the suite passes
     A = WSplitAlgebra(Q, Q.of_int(2))
     assert all(checks._settling_grid(A, name, sampler.count) for name in ("anticommutative", "quartic"))
-    monkeypatch.setattr(checks, "_guard", lambda A, view: True)
+    monkeypatch.setattr(checks, "_guarded", lambda view, owner, sample: view)
     assert all(r.passed for r in checks.run_suite(A, "all-applicable", sampler))
