@@ -52,9 +52,14 @@ layout the base derives everything that is not the family's own maths:
 * ``rank``, ``basis`` and the element JSON: one key per field, an
   R coefficient as its ring string and an S coefficient as a pair of them.
 
+From the norm the base derives the quadratic structure: every unital family
+here satisfies x^2 - t(x)x + n(x)1 = 0, so ``trace`` is the norm's polar form
+at the unit, t(x) = n(x + 1) - n(x) - n(1), and ``involution`` is
+x-bar = t(x)1 - x.  On a family without a unit both raise ``WrongRing`` from
+``one``.
+
 A family supplies its constructor, which builds the layout from its data,
-and its maths: ``mul``, ``norm``, ``basis_labels`` and, when unital,
-``trace`` and ``involution``.
+and its maths: ``mul``, ``norm`` and ``basis_labels``.
 """
 
 from __future__ import annotations
@@ -180,6 +185,15 @@ class Algebra:
             raise WrongRing(f"{self.family} has no unit")
         return self._one
 
+    def trace(self, x):
+        """The norm's polar form at the unit, t(x) = n(x + 1) - n(x) - n(1)."""
+        R, one = self.ring, self.one()
+        return R.sub(R.sub(self.norm(self.add(x, one)), self.norm(x)), self.norm(one))
+
+    def involution(self, x):
+        """The scalar involution x-bar = t(x) 1 - x."""
+        return self.sub(self.smul(self.trace(x), self.one()), x)
+
     # tuples from lists: a tuple built from an iterator is allocated larger and shrunk
     def add(self, x, y):
         return self.element(
@@ -295,13 +309,6 @@ class ColSplitAlgebra(Algebra):
         R = self.ring
         return R.sub(R.mul(x.a, x.a), pairing(R, x.u, x.ud))
 
-    def trace(self, x):
-        R = self.ring
-        return R.add(x.a, x.a)
-
-    def involution(self, x):
-        return ColSplitElement(x.a, vec_neg(self.ring, x.u), vec_neg(self.ring, x.ud))
-
     def basis_labels(self):
         return ["1", "u1", "u2", "u3", "v1", "v2", "v3"]
 
@@ -340,14 +347,6 @@ class ZornAlgebra(Algebra):
     def norm(self, x):
         R = self.ring
         return R.sub(R.mul(x.a, x.ap), pairing(R, x.u, x.ud))
-
-    def trace(self, x):
-        return self.ring.add(x.a, x.ap)
-
-    def involution(self, x):
-        """Canonical (scalar) involution: swap the diagonal, negate vectors."""
-        R = self.ring
-        return ZornElement(x.ap, vec_neg(R, x.u), vec_neg(R, x.ud), x.a)
 
     def basis_labels(self):
         return ["e11", "e22", "u1", "u2", "u3", "v1", "v2", "v3"]
@@ -404,12 +403,6 @@ class CayleyAlgebra(Algebra):
     def norm(self, x):
         return self.ring.add(self.S.norm(x.a), self.space.norm_vec(x.u))
 
-    def trace(self, x):
-        return self.S.trace(x.a)
-
-    def involution(self, x):
-        return CayElement(self.S.conj(x.a), vec_neg(self.S, x.u))
-
     def basis_labels(self):
         s0, s1 = ("e1", "e2") if self.S.kind == "split" else ("1", "s")
         return [s0, s1] + [f"{p}{i}" for p in (s0 + ".", s1 + ".") for i in (1, 2, 3)]
@@ -444,12 +437,6 @@ class ColHermAlgebra(Algebra):
     def norm(self, x):
         R = self.ring
         return R.add(R.mul(x.a, x.a), self.space.norm_vec(x.u))
-
-    def trace(self, x):
-        return self.ring.add(x.a, x.a)
-
-    def involution(self, x):
-        return ColHermElement(x.a, vec_neg(self.S, x.u))
 
     def basis_labels(self):
         return ["1"] + [f"p{comp}{i}" for comp in (1, 2) for i in (1, 2, 3)]

@@ -66,6 +66,8 @@ def load_object(path: str, what: str) -> dict:
         raise
     except ValueError:  # an integer of more digits than sys.get_int_max_str_digits() allows
         raise BadSpec(f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise BadSpec(f"{what} is nested too deeply") from None
     if not isinstance(data, dict):
         raise BadSpec(f"{what} must be a JSON object")
     return data
@@ -267,7 +269,7 @@ def cmd_graded_info(config: dict, args) -> int:
         "checks": [],
     }
     enumerated = 1 + len(A.basis_l) + len(A.basis_m) + len(A.basis_lm)
-    out["checks"].append({"name": "rank-matches-enumeration", "pass": enumerated == A.rank})
+    out["checks"].append({"name": "rank-matches-enumeration", "pass": enumerated == graded_rank(spec)})
     if A.ring.is_field:
         _, dim, nilp, findings = radical_analysis(A)
         out["radical_dim"] = dim

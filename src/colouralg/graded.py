@@ -150,17 +150,6 @@ class GradedAlgebra(Algebra):
         """The degenerate norm n0 = a^2."""
         return self.ring.mul(x.a, x.a)
 
-    def trace(self, x):
-        return self.ring.add(x.a, x.a)
-
-    def involution(self, x):
-        return GradedElement(
-            x.a,
-            tuple(self.ring.neg(c) for c in x.fl),
-            tuple(self.ring.neg(c) for c in x.fm),
-            tuple(self.ring.neg(c) for c in x.flm),
-        )
-
     def basis_labels(self):
         P = self.poly
         labels = ["1"]

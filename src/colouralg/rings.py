@@ -572,9 +572,6 @@ class PolynomialRing(Ring):
         return {"kind": "poly", "base": self.base.to_spec(), "vars": list(self.variables)}
 
     # parser hooks ---------------------------------------------------
-    def _literal_int(self, num):
-        return self.of_int(num)
-
     def _literal_fraction(self, num, den, pos):
         c = self.base._literal_fraction(num, den, pos)
         return {} if self.base.is_zero(c) else {(0,) * self.nvars: c}

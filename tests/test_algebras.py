@@ -19,8 +19,8 @@ from colouralg.algebras import (
     vector_product_of_quadratic,
 )
 from colouralg.checks import SplitMix64
-from colouralg.errors import NotTraceZero
-from colouralg.graded import GradedAlgebra, GradedSpec
+from colouralg.errors import NotTraceZero, WrongRing
+from colouralg.graded import GradedAlgebra, GradedElement, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity
 
 Q = rings.RationalField()
@@ -527,3 +527,63 @@ def test_draw_order_covers_seven_families():
         "col_split", "zorn", "w_split", "cay_hermitian", "col_hermitian", "w_hermitian", "graded"
     }
     assert len(DRAW_HANDLES) == 3 * 7 + 6 + 3
+
+
+# ---------------------------------------------- trace and involution from the norm
+#
+# The base derives t(x) = n(x + 1) - n(x) - n(1) and x-bar = t(x) 1 - x; each
+# family's own formula for them is pinned here as the reference.
+
+
+def _negated(K, v):
+    return tuple(K.neg(c) for c in v)
+
+
+OWN_TRACE_AND_INVOLUTION = {
+    "col_split": (
+        lambda A, x: A.ring.add(x.a, x.a),
+        lambda A, x: ColSplitElement(x.a, _negated(A.ring, x.u), _negated(A.ring, x.ud)),
+    ),
+    "zorn": (
+        lambda A, x: A.ring.add(x.a, x.ap),
+        lambda A, x: ZornElement(x.ap, _negated(A.ring, x.u), _negated(A.ring, x.ud), x.a),
+    ),
+    "cay_hermitian": (
+        lambda A, x: A.S.trace(x.a),
+        lambda A, x: CayElement(A.S.conj(x.a), _negated(A.S, x.u)),
+    ),
+    "col_hermitian": (
+        lambda A, x: A.ring.add(x.a, x.a),
+        lambda A, x: ColHermElement(x.a, _negated(A.S, x.u)),
+    ),
+    "graded": (
+        lambda A, x: A.ring.add(x.a, x.a),
+        lambda A, x: GradedElement(x.a, *(_negated(A.ring, f) for f in (x.fl, x.fm, x.flm))),
+    ),
+}
+
+# every family over Q, F7, Z/15 and F7[t0] (graded has no polynomial base), on split and Kummer S
+QUADRATIC_HANDLES = [
+    A
+    for R in (Q, F7, Z15, rings.PolynomialRing(F7, ["t0"]))
+    for A in _split_families(R)
+    + _hermitian_families(etale.SplitTorus(R))
+    + _hermitian_families(etale.KummerExtension(R, R.of_int(2)))
+]
+
+
+@pytest.mark.parametrize("A", [A for A in QUADRATIC_HANDLES if A.unital], ids=_draw_id)
+def test_trace_and_involution_from_the_norm_equal_the_family_formulas(A):
+    trace, involution = OWN_TRACE_AND_INVOLUTION[A.family]
+    rng = SplitMix64(613 + A.rank)
+    for x in [A.one(), *A.basis(), *(A.sample(rng) for _ in range(25))]:
+        assert A.trace(x) == trace(A, x)
+        assert A.involution(x) == involution(A, x)
+
+
+@pytest.mark.parametrize("A", [A for A in QUADRATIC_HANDLES if not A.unital], ids=_draw_id)
+def test_trace_and_involution_need_a_unit(A):
+    x = A.sample(SplitMix64(613))
+    for derived in (A.trace, A.involution):
+        with pytest.raises(WrongRing, match=f"{A.family} has no unit"):
+            derived(x)

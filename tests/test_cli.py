@@ -699,3 +699,46 @@ def test_prime_check_is_bounded(tmp_path, p, rc):
         assert json.loads(proc.stderr)["error"] == "BadPrime"
     else:
         assert json.loads(proc.stdout)["ring"] == {"kind": "Fp", "p": p}
+
+
+# 100,000 nested lists: json.loads gives up with a RecursionError long before the end
+_NESTED = "[" * 100_000
+NESTED_INPUTS = {
+    "config": ("build", _NESTED, [], "the config"),
+    "map": ("map-check", _COL_F7, [_NESTED], "the map description"),
+    "element": ("mul", _COL_F7, [_NESTED] * 2, "an element file"),
+}
+
+
+@pytest.mark.parametrize("name", list(NESTED_INPUTS))
+def test_deeply_nested_json_is_a_project_error(tmp_path, name):
+    command, config, inputs, what = NESTED_INPUTS[name]
+    paths = []
+    for i, text in enumerate([config, *inputs]):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    rc, out, err = run_cli(command, *paths)
+    assert rc == 2
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "BadSpec", "message": f"{what} is nested too deeply"}
+    ]
+
+
+def test_graded_info_reports_a_planted_enumeration_fault(tmp_path, monkeypatch, capsys):
+    # each slot's enumeration drops its last monomial: graded(1,1,1) has 5 enumerated
+    # coordinates against the binomial rank 8, and the check must say so
+    from colouralg import cli, graded
+
+    real = graded.monomials_of_degree
+    monkeypatch.setattr(graded, "monomials_of_degree", lambda nvars, degree: real(nvars, degree)[:-1])
+    cfg = write(
+        tmp_path,
+        "g.json",
+        {"ring": {"kind": "Fp", "p": 7}, "construction": {"kind": "graded", "l": 1, "m": 1, "n": 1}},
+    )
+    assert cli.main(["graded-info", cfg]) == 1
+    info = json.loads(capsys.readouterr().out)
+    assert info["rank"] == 5
+    assert info["checks"][0] == {"name": "rank-matches-enumeration", "pass": False}
