@@ -70,7 +70,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import NotTraceZero, WrongRing
 from .etale import EtaleAlgebra
-from .rings import IntegersMod, Ring
+from .rings import IntegersMod, Ring, spec_key
 from .trivec import (
     HermitianSpace,
     Trivialization,
@@ -264,7 +264,7 @@ class Algebra:
         values = {}
         for name, K, n, pair in self._slots:
             parse = K.from_json if pair else K.parse
-            v = d[name]
+            v = spec_key(d, name, f"a {self.family} element")
             if n is None:
                 values[name] = parse(v)
             elif isinstance(v, list) and len(v) == n:

@@ -87,6 +87,21 @@ with w = ``_points_per_draw`` the grid points that cost about one draw: 4
 over Z/n, whose draws run on the view as the grid does, and 16 elsewhere,
 whose draws run the scalar ``mul``.  Off Z/n the view is built, and guarded,
 only when some identity of the call takes its grid.
+
+A relation between bilinear products, such as each part of
+``cross_construction_check``, is bilinear in its pair, so it holds on every
+pair once it holds on every pair of basis elements.  ``_relation`` settles
+it that way in seeded mode, behind guards: when it holds on its basis pairs
+and the ``_CoordView`` of each algebra it compares passes ``_guarded``, it
+reports the pass of its draws and makes no draw.  Otherwise its draws run as
+if nothing had been tried, so a failing report is the draws' own; exhaustive
+mode always draws.  The verdict proves the relation for the bilinear
+products the basis pairs fix.  A product that is not bilinear is caught only
+when a guard pair hits it, where the draws might hit it too: the caveat of
+every guarded view above.  Map checks (``maps`` module docstring) settle on
+unguarded basis pairs, as they trust the family products, which the element
+suites guard; a relation compares the products themselves, so it settles on
+guarded ones.
 """
 
 from __future__ import annotations
@@ -896,6 +911,18 @@ def _split_space(ring: Ring, lam, corrupt_gram: bool) -> HermitianSpace:
     return HermitianSpace(S, gram, alpha)
 
 
+def _relation(name, sampler, A, holds, describe, owners, basis, done) -> CheckReport:
+    """A relation ``holds`` between bilinear products on pairs of A's elements, after ``done`` cases: in
+    seeded mode it settles when it holds on the pairs ``basis`` and the ``_CoordView`` of each algebra of
+    ``owners`` passes ``_guarded``, reporting the pass of its draws without drawing (module docstring);
+    otherwise ``sampler.count`` drawn pairs decide it, the first failing one reported."""
+    if sampler.mode == "seeded" and all(map(holds, basis)):
+        if all(_guarded(_CoordView(B), B, type(B).sample_coords) for B in owners):
+            return CheckReport(name, done + sampler.count, True, None)
+    pairs = draws(sampler, lambda rng: (A.sample(rng), A.sample(rng)))
+    return first_failure(name, pairs, holds, describe, done)
+
+
 def cross_construction_check(
     ring: Ring, lam, sampler: Sampler, corrupt_gram: bool = False
 ) -> CheckReport:
@@ -907,6 +934,17 @@ def cross_construction_check(
         the sampled pairs.
     (b) Projecting the Zorn multiplication onto the off-diagonal slots
         reproduces the rank-6 vector algebra, on sampled pairs.
+
+    The unit and the 49 basis pairs of (a) are cases of the check: the first
+    that fails is reported at once.  Then each part is a ``_relation``: in
+    seeded mode (a) settles when the coordinate views of col and herm pass
+    their guards, and (b) when it holds on the 36 basis pairs of w and the
+    views of zorn and w pass theirs, each reporting the pass of its draws
+    without drawing, so a passing check reports ``samples = 49 + 2 count``
+    and makes no draw.  A part that does not settle draws ``count`` pairs,
+    and its report is the draws' own.  The verdict holds for the bilinear
+    products the basis pairs fix; a product fault off the basis is caught
+    when a guard pair or a draw hits it (module docstring).
 
     ``corrupt_gram`` flips one Gram sign (keeping the space valid) so the
     mismatch detector can be exercised.
@@ -931,20 +969,17 @@ def cross_construction_check(
         z = zorn.mul(w_embed(x), w_embed(y))
         return WSplitElement(z.u, z.ud) == w.mul(x, y)
 
+    name = "cross-construction"
     if iota(col.one()) != herm.one():
-        return CheckReport("cross-construction", 1, False, {"part": "unit"})
-    pairs = chain(product(col.basis(), repeat=2), draws(sampler, lambda rng: (col.sample(rng), col.sample(rng))))
-    report = first_failure(
-        "cross-construction", pairs, col_embeds, lambda i, p: pair_json(col, *p, part="col-identification")
-    )
+        return CheckReport(name, 1, False, {"part": "unit"})
+    col_json = lambda i, p: pair_json(col, *p, part="col-identification")  # noqa: E731
+    report = first_failure(name, product(col.basis(), repeat=2), col_embeds, col_json)
     if report.passed:
-        report = first_failure(
-            "cross-construction",
-            draws(sampler, lambda rng: (w.sample(rng), w.sample(rng))),
-            zorn_projects,
-            lambda i, p: pair_json(w, *p, part="zorn-projection"),
-            report.samples,
-        )
+        report = _relation(name, sampler, col, col_embeds, col_json, (col, herm), (), report.samples)
+    if report.passed:
+        w_json = lambda i, p: pair_json(w, *p, part="zorn-projection")  # noqa: E731
+        basis = product(w.basis(), repeat=2)
+        report = _relation(name, sampler, w, zorn_projects, w_json, (zorn, w), basis, report.samples)
     return report
 
 

@@ -42,7 +42,7 @@ from .algebras import (
 from .errors import BadDegrees, BadSpec, ColourAlgError, NotSLinear, SuiteNotApplicable
 from .etale import make_etale
 from .graded import GradedAlgebra, GradedSpec, graded_rank, n1_shortcut_report, radical_analysis
-from .rings import make_ring, spec_int
+from .rings import make_ring, spec_int, spec_key
 from .trivec import HermitianSpace
 
 __all__ = ["main", "build_algebra", "load_object"]
@@ -54,6 +54,8 @@ _HERM_CLASSES = {"cay_hermitian": CayleyAlgebra, "col_hermitian": ColHermAlgebra
 # build prints rank^2 products and graded-info's radical analysis grows like
 # rank^3; at rank 125 they take about 1 s and 8 s
 GRADED_RANK_LIMIT = 128
+
+_MAP = "the map description"  # the map file, as errors name it
 
 
 def load_object(path: str, what: str) -> dict:
@@ -74,23 +76,23 @@ def load_object(path: str, what: str) -> dict:
 
 
 def _space_from_config(ring, cons: dict) -> HermitianSpace:
-    S = make_etale(ring, cons["etale"])
-    rows = cons["gram"]
+    S = make_etale(ring, spec_key(cons, "etale", "the construction"))
+    rows = spec_key(cons, "gram", "the construction")
     square = isinstance(rows, list) and len(rows) == 3
     if not (square and all(isinstance(r, list) and len(r) == 3 for r in rows)):
         raise BadSpec("the gram matrix must be a 3x3 list of etale pairs")
     gram = [[S.from_json(e) for e in row] for row in rows]
-    alpha = S.from_json(cons["alpha"])
+    alpha = S.from_json(spec_key(cons, "alpha", "the construction"))
     return HermitianSpace(S, gram, alpha)
 
 
 def build_algebra(config: dict):
     """Construct the algebra handle described by a config dict."""
-    ring = make_ring(config["ring"])
-    cons = config["construction"]
+    ring = make_ring(spec_key(config, "ring", "the config"))
+    cons = spec_key(config, "construction", "the config")
     if not isinstance(cons, dict):
         raise BadSpec(f"the construction must be an object, got {cons!r}")
-    kind = cons["kind"]
+    kind = spec_key(cons, "kind", "the construction")
     if not isinstance(kind, str):
         raise BadSpec(f"the construction kind must be a string, got {kind!r}")
     if kind in _SPLIT_CLASSES:
@@ -188,7 +190,7 @@ def _lift(target, A, mdesc, sampler):
     """The lift of the isometry ``matrix`` into A's space or, given ``gram_prime`` or
     ``alpha_prime``, into the space with those replaced."""
     space, S = A.space, A.S
-    phi = _matrix(mdesc["matrix"], 3, 3, S.from_json)
+    phi = _matrix(spec_key(mdesc, "matrix", _MAP), 3, 3, S.from_json)
     target_space = space
     if "gram_prime" in mdesc or "alpha_prime" in mdesc:
         gram = _matrix(mdesc["gram_prime"], 3, 3, S.from_json) if "gram_prime" in mdesc else space.gram
@@ -203,21 +205,29 @@ MAP_KINDS = {
     "dual": ({"col_split"}, lambda A, m, s: maps.is_homomorphism(maps.dual_iso(A), s)),
     "cube-root": (
         _SPLIT_CLASSES,
-        lambda A, m, s: maps.is_homomorphism(maps.cube_root_auto(A, A.ring.parse(str(m["mu"]))), s),
+        lambda A, m, s: maps.is_homomorphism(maps.cube_root_auto(A, A.ring.parse(str(spec_key(m, "mu", _MAP)))), s),
     ),
     "diagonal": (
         _SPLIT_CLASSES,
         lambda A, m, s: maps.is_homomorphism(
-            maps.diagonal_iso(A, _matrix(m["matrix"], 3, 3, A.ring.parse), A.ring.parse(str(m["lam_prime"]))), s
+            maps.diagonal_iso(
+                A,
+                _matrix(spec_key(m, "matrix", _MAP), 3, 3, A.ring.parse),
+                A.ring.parse(str(spec_key(m, "lam_prime", _MAP))),
+            ),
+            s,
         ),
     ),
     "custom": (
         checks.APPLICABLE,
         lambda A, m, s: maps.is_homomorphism(
-            maps.custom_map(A, A, _matrix(m["table"], A.rank, A.rank, A.ring.parse)), s
+            maps.custom_map(A, A, _matrix(spec_key(m, "table", _MAP), A.rank, A.rank, A.ring.parse)), s
         ),
     ),
-    "derivation": (_HERM_CLASSES, lambda A, m, s: maps.is_derivation(_matrix(m["matrix"], 3, 3, A.S.from_json), A, s)),
+    "derivation": (
+        _HERM_CLASSES,
+        lambda A, m, s: maps.is_derivation(_matrix(spec_key(m, "matrix", _MAP), 3, 3, A.S.from_json), A, s),
+    ),
     "G-phi": ({"col_hermitian"}, partial(_lift, "colour")),
     "H-phi": ({"cay_hermitian"}, partial(_lift, "cayley")),
 }
@@ -226,8 +236,8 @@ MAP_KINDS = {
 def cmd_map_check(config: dict, args) -> int:
     A = build_algebra(config)
     sampler = _sampler(config, args)
-    mdesc = load_object(args.mapfile, "the map description")
-    kind = mdesc["kind"]
+    mdesc = load_object(args.mapfile, _MAP)
+    kind = spec_key(mdesc, "kind", _MAP)
     if not isinstance(kind, str) or kind not in MAP_KINDS:
         raise SuiteNotApplicable(f"unknown map kind {kind!r}")
     families, check = MAP_KINDS[kind]

@@ -25,7 +25,7 @@ not in a subclass, so a wrapper on ``SplitTorus.mul`` or
 from __future__ import annotations
 
 from .errors import BadSpec, NotAUnit, WrongRing
-from .rings import IntegersMod, Ring
+from .rings import IntegersMod, Ring, spec_key
 
 __all__ = ["EtaleAlgebra", "SplitTorus", "KummerExtension", "make_etale"]
 
@@ -214,5 +214,5 @@ def make_etale(ring: Ring, spec: dict) -> EtaleAlgebra:
     if kind == "split":
         return SplitTorus(ring)
     if kind == "kummer":
-        return KummerExtension(ring, ring.parse(str(spec["d"])))
+        return KummerExtension(ring, ring.parse(str(spec_key(spec, "d", "the kummer etale spec"))))
     raise WrongRing(f"unknown etale kind {kind!r}")

@@ -23,6 +23,8 @@ lowest failing draw, or a pass when every draw holds, exactly as a check on
 draws alone.  The settlement trusts the product code to be bilinear, so a
 ``mul`` fault off the basis is left to the element-identity suites.  A
 hand-built ``AlgebraMap`` (``linear`` off) is checked on the draws alone.
+A relation between two family products, as in the cross-construction
+check, settles on guarded basis pairs instead (``checks`` module docstring).
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ __all__ = [
     "PolynomialRing",
     "make_ring",
     "spec_int",
+    "spec_key",
     "monomials_of_degree",
 ]
 
@@ -613,11 +614,18 @@ def make_ring(spec: dict) -> Ring:
     if kind == "Zmod":
         return IntegersMod(spec_int(spec, "n"))
     if kind == "poly":
-        names = spec["vars"]
+        names = spec_key(spec, "vars", "the poly ring spec")
         if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
             raise BadSpec(f"'vars' must be a list of variable names, got {names!r}")
-        return PolynomialRing(make_ring(spec["base"]), names)
+        return PolynomialRing(make_ring(spec_key(spec, "base", "the poly ring spec")), names)
     raise WrongRing(f"unknown ring kind {kind!r}")
+
+
+def spec_key(spec: dict, key: str, what: str):
+    """The field ``key`` of the JSON object ``spec``, which ``what`` names in the error when it is absent."""
+    if key not in spec:
+        raise BadSpec(f"{what} has no {key!r}")
+    return spec[key]
 
 
 def spec_int(spec: dict, key: str, default=None) -> int:

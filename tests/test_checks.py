@@ -1031,6 +1031,130 @@ def test_cross_construction_detects_corrupted_gram():
     assert report.counterexample["part"] == "col-identification"
 
 
+# ----- the cross-construction check settled on guarded basis pairs
+
+CROSS_CONSTRUCTION_RINGS = {"F7": F7, "F3": F3, "Z15": rings.IntegersMod(15), "Q": Q}
+CROSS_CONSTRUCTION_SAMPLERS = [Sampler(seed=seed, count=count) for seed in (0, 13) for count in (1, 20, 300)]
+
+
+def drawn_cross_construction(ring, lam, sampler, corrupt_gram=False):
+    """The report of the draws alone: every guard refuses, so neither relation settles."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checks, "_guarded", lambda view, owner, sample: None)
+        return checks.cross_construction_check(ring, lam, sampler, corrupt_gram).to_json()
+
+
+def count_streams(monkeypatch):
+    """The draws of each SplitMix64 stream that draws, as ``{id: [stream, state at its first draw, draws]}``."""
+    streams = {}
+    real = SplitMix64.next_u64
+
+    def counted(self):
+        streams.setdefault(id(self), [self, self.state, 0])[2] += 1
+        return real(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    return streams
+
+
+@pytest.mark.parametrize("ring", list(CROSS_CONSTRUCTION_RINGS))
+def test_passing_cross_construction_settles_without_drawing(monkeypatch, ring):
+    # the 49 col basis pairs, the 36 w basis pairs and the four guards, each on its own stream, decide a
+    # pass: the sampler's stream draws nothing, and the report is the one of the draws
+    R = CROSS_CONSTRUCTION_RINGS[ring]
+    streams = count_streams(monkeypatch)
+    for lam, sampler in product((R.one, R.of_int(2)), CROSS_CONSTRUCTION_SAMPLERS):
+        streams.clear()
+        report = checks.cross_construction_check(R, lam, sampler).to_json()
+        assert report == {
+            "identity": "cross-construction", "samples": 49 + 2 * sampler.count, "pass": True, "counterexample": None
+        }
+        assert [start for _, start, _ in streams.values()] == [checks.GUARD_SEED] * 4
+        assert drawn_cross_construction(R, lam, sampler) == report
+
+
+@pytest.mark.parametrize("ring", list(CROSS_CONSTRUCTION_RINGS))
+def test_corrupt_gram_and_exhaustive_cross_construction_report_as_the_draws(monkeypatch, ring):
+    # a corrupt Gram fails a col basis pair, reported at once; an exhaustive sampler draws as it always has.
+    # Neither builds a coordinate view.
+    R = CROSS_CONSTRUCTION_RINGS[ring]
+    drawn = {
+        (lam, s, corrupt): drawn_cross_construction(R, lam, s, corrupt)
+        for lam, s, corrupt in product((R.one, R.of_int(2)), CROSS_CONSTRUCTION_SAMPLERS, (False, True))
+    }
+    monkeypatch.setattr(checks, "_CoordView", None)
+    streams = count_streams(monkeypatch)
+    for (lam, s, corrupt), expected in drawn.items():
+        if corrupt:
+            streams.clear()
+            report = checks.cross_construction_check(R, lam, s, corrupt_gram=True).to_json()
+            assert report == expected and not streams
+            assert not report["pass"] and report["samples"] <= 49
+            assert report["counterexample"]["part"] == "col-identification"
+        exhaustive = Sampler(seed=s.seed, count=s.count, mode="exhaustive")
+        assert checks.cross_construction_check(R, lam, exhaustive, corrupt).to_json() == expected
+
+
+def _off_the_basis(R):
+    """Whether the first coordinate of an element's ``u`` slot is off {0, 1, -1}, the coordinates of the
+    basis elements and of their images in the check: a fault planted there spares every basis pair."""
+    spared = (R.zero, R.one, R.neg(R.one))
+
+    def wrong(x, y):
+        c = x.u[0]
+        return (c[0] if isinstance(c, tuple) else c) not in spared
+
+    return wrong
+
+
+PLANTED_FAMILIES = {
+    algebras.ColSplitAlgebra: lambda R, lam: algebras.ColSplitAlgebra(R, lam),
+    algebras.ColHermAlgebra: lambda R, lam: algebras.ColHermAlgebra(checks._split_space(R, lam, False)),
+    algebras.ZornAlgebra: lambda R, lam: algebras.ZornAlgebra(R, lam),
+    algebras.WSplitAlgebra: lambda R, lam: algebras.WSplitAlgebra(R, lam),
+}
+PLANTED_CASES = [(cls, ring) for cls in PLANTED_FAMILIES for ring in ("F7", "Z15", "Q")]
+
+
+@pytest.mark.parametrize("cls, ring", PLANTED_CASES, ids=[f"{c.__name__}-{r}" for c, r in PLANTED_CASES])
+def test_product_fault_off_the_basis_is_refused_by_its_guard(monkeypatch, cls, ring):
+    # a product negated off the basis, as golden cross-construction:rare-w_split-fault plants it: the
+    # basis pairs miss it, its algebra's guard refuses, and the report is the draws' failure
+    R = CROSS_CONSTRUCTION_RINGS[ring]
+    lam, sampler = R.of_int(2), Sampler(seed=13, count=40)
+    wrong, real = _off_the_basis(R), cls.mul
+    monkeypatch.setattr(cls, "mul", lambda self, x, y: self.neg(real(self, x, y)) if wrong(x, y) else real(self, x, y))
+    B = PLANTED_FAMILIES[cls](R, lam)
+    assert not checks._guarded(checks._CoordView(B), B, type(B).sample_coords)
+    report = checks.cross_construction_check(R, lam, sampler).to_json()
+    assert not report["pass"] and report["samples"] > 49
+    assert report == drawn_cross_construction(R, lam, sampler)
+    monkeypatch.setattr(checks, "_guarded", lambda view, owner, sample: view)  # unguarded, the settlement is blind
+    assert checks.cross_construction_check(R, lam, sampler).passed
+
+
+# the first coordinate of the u slot: e11, e22 come first in zorn
+@pytest.mark.parametrize("cls, u", [(algebras.ZornAlgebra, 2), (algebras.WSplitAlgebra, 0)])
+@pytest.mark.parametrize("ring", ["F7", "Z15", "Q"])
+def test_bilinear_fault_at_a_projection_basis_pair_is_reported_by_the_draws(monkeypatch, cls, u, ring):
+    # u2 of a product gains x_u1 y_ud1: the view carries the fault, so the guards pass, but the w basis
+    # pairs see it, and the report is the draws' failure
+    R = CROSS_CONSTRUCTION_RINGS[ring]
+    lam, sampler, real = R.of_int(2), Sampler(seed=13, count=40), cls.mul
+
+    def mul(self, x, y):
+        c = list(self.coords(real(self, x, y)))
+        c[u + 1] = R.add(c[u + 1], R.mul(self.coords(x)[u], self.coords(y)[u + 3]))
+        return self.from_coords(c)
+
+    monkeypatch.setattr(cls, "mul", mul)
+    B = PLANTED_FAMILIES[cls](R, lam)
+    assert checks._guarded(checks._CoordView(B), B, type(B).sample_coords)
+    report = checks.cross_construction_check(R, lam, sampler).to_json()
+    assert not report["pass"] and report["samples"] > 49
+    assert report == drawn_cross_construction(R, lam, sampler)
+
+
 def test_cay_zorn_check():
     report = checks.cay_zorn_check(F5)
     assert report.passed

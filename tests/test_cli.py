@@ -742,3 +742,51 @@ def test_graded_info_reports_a_planted_enumeration_fault(tmp_path, monkeypatch, 
     info = json.loads(capsys.readouterr().out)
     assert info["rank"] == 5
     assert info["checks"][0] == {"name": "rank-matches-enumeration", "pass": False}
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+_HERM_CONS = _HERM_F5["construction"]
+_KUMMER_F5 = {**_HERM_F5, "construction": {**_HERM_CONS, "etale": {"kind": "kummer"}}}
+_POLY_COL = {"construction": {"kind": "col_split", "lam": "1"}}
+_ELEMENT = {"a": "1", "u": ["0", "1", "0"], "ud": ["0", "0", "1"]}
+# (command, config, the files after it, the message): a required key is missing from one object
+MISSING_KEYS = {
+    "ring": ("build", _without(_COL_F5, "ring"), [], "the config has no 'ring'"),
+    "construction": ("build", _without(_COL_F5, "construction"), [], "the config has no 'construction'"),
+    "kind": ("build", {**_COL_F5, "construction": {"lam": "1"}}, [], "the construction has no 'kind'"),
+    **{
+        key: ("build", {**_HERM_F5, "construction": _without(_HERM_CONS, key)}, [], f"the construction has no {key!r}")
+        for key in ("etale", "gram", "alpha")
+    },
+    "kummer-d": ("build", _KUMMER_F5, [], "the kummer etale spec has no 'd'"),
+    "poly-base": ("build", {**_POLY_COL, "ring": {"kind": "poly", "vars": ["t"]}}, [], "the poly ring spec has no 'base'"),
+    "poly-vars": ("build", {**_POLY_COL, "ring": {"kind": "poly", "base": {"kind": "Q"}}}, [], "the poly ring spec has no 'vars'"),
+    "map-kind": ("map-check", _COL_F5, [{"mu": "2"}], "the map description has no 'kind'"),
+    "map-mu": ("map-check", _COL_F5, [{"kind": "cube-root"}], "the map description has no 'mu'"),
+    "map-lam-prime": (
+        "map-check",
+        _COL_F5,
+        [{"kind": "diagonal", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}],
+        "the map description has no 'lam_prime'",
+    ),
+    "map-table": ("map-check", _COL_F5, [{"kind": "custom"}], "the map description has no 'table'"),
+    "map-derivation-matrix": ("map-check", _HERM_F5, [{"kind": "derivation"}], "the map description has no 'matrix'"),
+    "map-g-phi-matrix": ("map-check", _HERM_F5, [{"kind": "G-phi"}], "the map description has no 'matrix'"),
+    "element-u": ("mul", _COL_F5, [_without(_ELEMENT, "u"), _ELEMENT], "a col_split element has no 'u'"),
+}
+
+
+@pytest.mark.parametrize("name", list(MISSING_KEYS))
+def test_missing_key_is_a_bad_spec_naming_it(tmp_path, capsys, name):
+    # exit 2 with one BadSpec record naming the key and its object, never a bare KeyError
+    from colouralg import cli
+
+    command, config, inputs, message = MISSING_KEYS[name]
+    paths = [write(tmp_path, f"f{i}.json", data) for i, data in enumerate([config, *inputs])]
+    assert cli.main([command, *paths]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [{"error": "BadSpec", "message": message}]
