@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import colouralg
 from colouralg import algebras, checks, etale, rings
 from colouralg.checks import CheckReport, Sampler, SplitMix64, report_json_line
-from colouralg.errors import ExhaustiveTooLarge, SuiteNotApplicable
+from colouralg.errors import ExhaustiveTooLarge, SuiteNotApplicable, WrongRing
 from colouralg.graded import GradedAlgebra, GradedSpec
 from colouralg.trivec import HermitianSpace, mat_identity
 from test_golden import _kummer, _RareCross, _split_f7
@@ -816,7 +816,18 @@ def _settle_cases():
     cases["graded(1,1,1)/F7"] = GradedAlgebra(GradedSpec(1, 1, 1), F7)
     for R in (Q, F7, F7T):
         cases[f"half-one-col_split/{R.kind}"] = _half_one(algebras.ColSplitAlgebra(R, R.one))
+    P = _gram_t0_space()
+    for cls in (algebras.CayleyAlgebra, algebras.ColHermAlgebra):
+        cases[f"{cls(P).family}/gram-t0/{QT.kind}"] = cls(P)
     return cases
+
+
+def _gram_t0_space():
+    """Gram [[1, t0, 0], [t0, 1 + t0^2, 0], [0, 0, 1]] (det 1) over the split torus of Q[t0], alpha 1: its
+    structure constants involve t0."""
+    S, t = etale.SplitTorus(QT), QT.parse("t0")
+    z, o = S.zero, S.one
+    return HermitianSpace(S, [[o, S.scalar(t), z], [S.scalar(t), S.scalar(QT.parse("1 + t0^2")), z], [z, z, o]], o)
 
 
 SETTLE_CASES = _settle_cases()
@@ -863,6 +874,51 @@ def test_settled_reports_equal_drawn_reports(name, drawn, monkeypatch):
     assert settled_draws < len(drawn) - settled_draws
     if name.startswith("half-one"):
         assert not all(r["pass"] for r in settled)
+
+
+def test_grid_runs_in_the_coefficient_ring_exactly_when_the_constants_are_constant():
+    # every polynomial case but the t0 Gram takes the view over B for its grid, Z/n and Q views their own
+    for name, A in SETTLE_CASES.items():
+        V = checks._CoordView(A)
+        if not isinstance(A.ring, rings.PolynomialRing) or "gram-t0" in name:
+            assert V.grid is V
+            continue
+        B = A.ring.base
+        assert V.grid is not V and V.grid.ring == B and V.grid.n == getattr(B, "n", 0)
+        # on constant coordinates the view over B is the view over B[t] read at its constant terms
+        lift = lambda xs: tuple(map(A.ring.of_int, xs))  # noqa: E731
+        for x, y in product(checks._grid(0, A.rank, 1)[:4], checks._grid(0, A.rank, 2)[-4:]):
+            bx, by = (tuple(map(B.of_int, xs)) for xs in (x, y))
+            assert lift(V.grid.mul(bx, by)) == V.mul(lift(x), lift(y))
+            assert A.ring.of_int(V.grid.norm(bx)) == V.norm(lift(x))
+            if A.unital:
+                assert A.ring.of_int(V.grid.trace(bx)) == V.trace(lift(x))
+    assert any("gram-t0" in name for name in SETTLE_CASES)
+
+
+@pytest.mark.parametrize(
+    "A, count", [(algebras.ColSplitAlgebra(F7T, F7T.one), 20), (algebras.WSplitAlgebra(QT, QT.one), 40)], ids=["F7T", "QT"]
+)
+def test_polynomial_suites_settle_without_drawing(A, count, drawn, monkeypatch):
+    # with grid points in the coefficient ring every identity of these suites settles at these counts
+    settled = [r.to_json() for r in checks.run_suite(A, "all-applicable", Sampler(seed=3, count=count))]
+    assert drawn == [] and all(r["pass"] for r in settled)
+    monkeypatch.setattr(checks, "_points_per_draw", lambda ring: 0)
+    assert [r.to_json() for r in checks.run_suite(A, "all-applicable", Sampler(seed=3, count=count))] == settled
+    assert drawn == [count] * len(settled)
+
+
+@pytest.mark.parametrize(
+    "R, mode", [(F7, "seeded"), (F7, "exhaustive"), (Q, "seeded")], ids=["F7-seeded", "F7-exhaustive", "Q-seeded"]
+)
+def test_quadratic_relation_without_a_unit_is_the_scalar_error(R, mode):
+    # the view's one and trace raise the error of the algebra's own
+    P = _twisted_space(etale.SplitTorus(R))
+    for A in (algebras.WSplitAlgebra(R, R.one), algebras.WHermAlgebra(P)):
+        with pytest.raises(WrongRing, match=f"{A.family} has no unit"):
+            A.trace(A.zero())
+        with pytest.raises(WrongRing, match=f"{A.family} has no unit"):
+            checks.run_identity(A, "quadratic-relation", Sampler(mode=mode, count=5))
 
 
 def _cube_of_trace(A, x):
